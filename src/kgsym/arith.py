@@ -22,6 +22,105 @@ def _as_rational(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+# Term maps. XYPoly, the jet polynomials, LaurentEval and TDOperator all keep
+# their terms as a plain dict from monomial keys to nonzero coefficients. The
+# functions below are the one implementation of that sparse algebra; a
+# coefficient only needs +, * and truthiness.
+
+def accumulate(out, items):
+    """Add each (key, coefficient) pair into the term map out, dropping every
+    key whose sum is zero; returns out."""
+    for key, c in items:
+        s = out.get(key)
+        s = c if s is None else s + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def add_terms(a, b):
+    return accumulate(dict(a), b.items())
+
+
+def scale_terms(terms, factor):
+    """Every coefficient times factor; negation is scaling by -1."""
+    if not factor:
+        return {}
+    return {key: c * factor for key, c in terms.items()}
+
+
+def sub_terms(a, b):
+    return add_terms(a, scale_terms(b, -1))
+
+
+def mul_terms(a, b, key_mul):
+    """Product of two term maps; key_mul multiplies two monomial keys."""
+    return accumulate({}, ((key_mul(k1, k2), c1 * c2)
+                           for k1, c1 in a.items() for k2, c2 in b.items()))
+
+
+def power(one, base, exponent):
+    """base ** exponent by repeated multiplication, starting from one."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    for _ in range(exponent):
+        result = result * base
+    return result
+
+
+def join_signed(pieces) -> str:
+    """Join printed terms with + and -, folding a leading minus into the
+    operator."""
+    out = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
+
+
+def monomial_str(powers) -> str:
+    """Print (name, exponent) pairs as a product such as x^2*y, leaving out
+    zero exponents."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in powers if e)
+
+
+def scalar_prefixed(c, body: str) -> str:
+    """Print the rational c times the printed product body."""
+    if c == 1:
+        return body
+    if c == -1:
+        return "-" + body
+    return f"{c}*{body}"
+
+
+def clean_terms(terms, coerce, normalize):
+    """The term map of the nonzero coerce(value) under the keys
+    normalize(key), from a mapping that may hold zeros and raw scalars."""
+    cleaned = {}
+    for key, value in (terms or {}).items():
+        c = coerce(value)
+        if c:
+            cleaned[normalize(key)] = c
+    return cleaned
+
+
+def int_key(key):
+    return tuple(map(int, key))
+
+
+def from_terms(cls, terms):
+    """An instance of cls holding terms, which must already be clean."""
+    result = cls.__new__(cls)
+    result.terms = terms
+    return result
+
+
 class XYPoly:
     """Sparse polynomial in x and y over exact rationals.
 
@@ -34,13 +133,7 @@ class XYPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for (i, j), value in terms.items():
-                c = _as_rational(value)
-                if c:
-                    cleaned[(int(i), int(j))] = c
-        self.terms = cleaned
+        self.terms = clean_terms(terms, _as_rational, int_key)
 
     @classmethod
     def zero(cls) -> "XYPoly":
@@ -85,83 +178,58 @@ class XYPoly:
 
     def diff(self, var: str) -> "XYPoly":
         """Exact partial derivative with respect to x or y."""
-        out = {}
         if var == "x":
-            for (i, j), c in self.terms.items():
-                if i:
-                    out[(i - 1, j)] = c * i
+            out = {(i - 1, j): c * i for (i, j), c in self.terms.items() if i}
         elif var == "y":
-            for (i, j), c in self.terms.items():
-                if j:
-                    out[(i, j - 1)] = c * j
+            out = {(i, j - 1): c * j for (i, j), c in self.terms.items() if j}
         else:
             raise ValueError(f"unknown variable {var!r}")
-        return XYPoly(out)
+        return from_terms(XYPoly, out)
 
     def __add__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
+        other = as_poly(other)
+        if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        result = XYPoly.__new__(XYPoly)
-        result.terms = out
-        return result
+        return from_terms(XYPoly, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = XYPoly.__new__(XYPoly)
-        result.terms = {key: -c for key, c in self.terms.items()}
-        return result
+        return from_terms(XYPoly, scale_terms(self.terms, -1))
 
     def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
+        other = as_poly(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        return from_terms(XYPoly, sub_terms(self.terms, other.terms))
 
     def __rsub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
+        other = as_poly(other)
+        if other is None:
             return NotImplemented
-        return other + (-self)
+        return from_terms(XYPoly, sub_terms(other.terms, self.terms))
 
     def __mul__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
+        if isinstance(other, XYPoly):
+            # mul_terms with the exponent-pair product written out: this is
+            # the package's hottest loop, so it makes no call per term.
+            terms = accumulate({}, (((i1 + i2, j1 + j2), c1 * c2)
+                                    for (i1, j1), c1 in self.terms.items()
+                                    for (i2, j2), c2 in other.terms.items()))
+        elif isinstance(other, (int, Fraction)):
+            terms = scale_terms(self.terms, other)
+        else:
             return NotImplemented
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        result = XYPoly.__new__(XYPoly)
-        result.terms = out
-        return result
+        return from_terms(XYPoly, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = XYPoly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return power(XYPoly.one(), self, exponent)
 
     def __eq__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
+        other = as_poly(other)
+        if other is None:
             return NotImplemented
         return self.terms == other.terms
 
@@ -180,46 +248,34 @@ class XYPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        pieces = [_poly_term_str(key, c) for key, c in self.sorted_terms()]
-        return _join_signed(pieces)
+        return join_signed([_poly_term_str(key, c)
+                            for key, c in self.sorted_terms()])
 
     def __repr__(self):
         return f"XYPoly({self})"
 
 
-def _coerce_poly(value):
+def as_poly(value):
+    """value as an XYPoly when it is one or a rational constant, else None."""
     if isinstance(value, XYPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return XYPoly.constant(value)
-    return NotImplemented
+        return from_terms(XYPoly, {(0, 0): Fraction(value)} if value else {})
+    return None
+
+
+def poly_coefficient(value) -> XYPoly:
+    """value as an XYPoly coefficient; TypeError unless it is an XYPoly or a
+    rational constant."""
+    c = as_poly(value)
+    if c is None:
+        raise TypeError("coefficients must be XYPoly or rational")
+    return c
 
 
 def _poly_term_str(key, coeff) -> str:
-    i, j = key
-    parts = []
-    if i:
-        parts.append("x" if i == 1 else f"x^{i}")
-    if j:
-        parts.append("y" if j == 1 else f"y^{j}")
-    if not parts:
-        return str(coeff)
-    body = "*".join(parts)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return f"{coeff}*{body}"
-
-
-def _join_signed(pieces) -> str:
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+    body = monomial_str(zip("xy", key))
+    return scalar_prefixed(coeff, body) if body else str(coeff)
 
 
 def poly_arith(a: XYPoly, b: XYPoly, op: str) -> XYPoly:

@@ -97,8 +97,18 @@ def _result_lines(result: dict):
         yield json.dumps(result)
 
 
+def _nonnegative(args: dict, key: str) -> int:
+    """args[key], which must not be negative; the error names the option."""
+    value = args[key]
+    if value < 0:
+        option = "--" + key.replace("_", "-")
+        raise UsageError(
+            f"{option} must be a nonnegative integer, got {value}")
+    return value
+
+
 def _cmd_dims(args: dict) -> Report:
-    max_order = args["max_order"]
+    max_order = _nonnegative(args, "max_order")
     rows = []
     for n in range(max_order + 1):
         d = n + 2
@@ -168,7 +178,7 @@ def _cmd_variational(args: dict) -> Report:
 
 
 def _cmd_variational_basis(args: dict) -> Report:
-    n = args["order"]
+    n = _nonnegative(args, "order")
     elements = []
     if n % 2 == 1:
         entries = [("Q", n, 0)]
@@ -217,7 +227,7 @@ def _cmd_current(args: dict) -> Report:
 
 
 def _cmd_verify_all(args: dict) -> Report:
-    results = verify.run_all(max_order=args["max_order"])
+    results = verify.run_all(max_order=_nonnegative(args, "max_order"))
     all_passed = all(r.passed for r in results)
     return Report(
         command="verify-all", arguments={"max_order": str(args["max_order"])},

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import XYPoly
+from .arith import (XYPoly, accumulate, add_terms, as_poly, clean_terms,
+                    from_terms, int_key, join_signed, monomial_str, mul_terms,
+                    poly_coefficient, power, scalar_prefixed, scale_terms,
+                    sub_terms)
 from .opalg import TDOperator
 
 _X = XYPoly.variable("x")
@@ -34,14 +37,6 @@ def _field_name(field) -> str:
     return field.name if isinstance(field, FieldId) else str(field)
 
 
-def _coerce_coeff(value):
-    if isinstance(value, XYPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return XYPoly.constant(value)
-    return None
-
-
 def _mono_mul(m1, m2):
     exps = dict(m1)
     for var, e in m2:
@@ -49,16 +44,137 @@ def _mono_mul(m1, m2):
     return tuple(sorted(exps.items()))
 
 
-def _acc(out, mono, coeff):
-    s = out.get(mono)
-    s = coeff if s is None else s + coeff
-    if s:
-        out[mono] = s
+def _lowered(mono, var, e):
+    """The exponents of mono, in which var has exponent e >= 1, with that of
+    var lowered by one."""
+    exps = dict(mono)
+    if e == 1:
+        del exps[var]
     else:
-        out.pop(mono, None)
+        exps[var] = e - 1
+    return exps
 
 
-class ReducedJetPoly:
+# Index shifts of the total derivatives, applied by the chain rule to each
+# jet variable: on the reduced jet Dx takes w_k to w_(k+1) and Dy to
+# w_(k-1); on the free jet they raise a or b in u_(a,b).
+_REDUCED_SHIFTS = {"x": lambda v: (v[0], v[1] + 1),
+                   "y": lambda v: (v[0], v[1] - 1)}
+_FREE_SHIFTS = {"x": lambda v: (v[0] + 1, v[1]),
+                "y": lambda v: (v[0], v[1] + 1)}
+
+
+def _jet_terms(cls, value):
+    """The term map of value as a polynomial of class cls: value itself, an
+    XYPoly or a rational constant; None for anything else."""
+    if isinstance(value, cls):
+        return value.terms
+    c = as_poly(value)
+    if c is None:
+        return None
+    return {(): c} if c else {}
+
+
+def _ring(p, other, combine):
+    """combine(p's terms, other's terms) as a polynomial of p's class."""
+    terms = _jet_terms(type(p), other)
+    if terms is None:
+        return NotImplemented
+    return from_terms(type(p), combine(p.terms, terms))
+
+
+def _times(p, other):
+    """p * other for another polynomial of p's class, or a coefficient."""
+    if isinstance(other, type(p)):
+        terms = mul_terms(p.terms, other.terms, _mono_mul)
+    elif isinstance(other, (XYPoly, int, Fraction)):
+        terms = scale_terms(p.terms, other)
+    else:
+        return NotImplemented
+    return from_terms(type(p), terms)
+
+
+def _partial(p, var):
+    """Partial derivative of p with respect to the jet variable var."""
+    out = {}
+    for mono, coeff in p.terms.items():
+        e = dict(mono).get(var)
+        if e:
+            out[tuple(sorted(_lowered(mono, var, e).items()))] = (
+                coeff if e == 1 else coeff * e)
+    return from_terms(type(p), out)
+
+
+def _total_derivative(p, var, shifts):
+    """Total derivative of p in x or y: the derivative of every coefficient
+    plus, by the chain rule, each jet variable v replaced by shifts[var](v)."""
+    shift = shifts.get(var)
+    if shift is None:
+        raise ValueError(f"unknown variable {var!r}")
+    return from_terms(type(p),
+                      accumulate({}, _chain_rule(p.terms, var, shift)))
+
+
+def _chain_rule(terms, var, shift):
+    for mono, coeff in terms.items():
+        dc = coeff.diff(var)
+        if dc:
+            yield mono, dc
+        for v, e in mono:
+            exps = _lowered(mono, v, e)
+            w = shift(v)
+            exps[w] = exps.get(w, 0) + 1
+            yield tuple(sorted(exps.items())), coeff if e == 1 else coeff * e
+
+
+class _JetPoly:
+    """Members shared by the two jet polynomial classes.
+
+    Terms map monomials, sorted tuples of (jet variable, exponent) pairs, to
+    nonzero XYPoly coefficients. The ring operations, partial,
+    total_derivative and __str__ are own members of each class."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = clean_terms(terms, poly_coefficient,
+                                 lambda mono: tuple(sorted(mono)))
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({(): XYPoly.one()})
+
+    @classmethod
+    def from_poly(cls, poly):
+        return cls({(): poly})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def jet_variables(self):
+        return {var for mono in self.terms for (var, _) in mono}
+
+    def __eq__(self, other):
+        terms = _jet_terms(type(self), other)
+        if terms is None:
+            return NotImplemented
+        return self.terms == terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class ReducedJetPoly(_JetPoly):
     """Differential polynomial in on-shell jet coordinates w_k, k in Z.
 
     Terms map monomials in the jet variables (tuples of ((field, k), exp))
@@ -66,31 +182,7 @@ class ReducedJetPoly:
     satisfy the same on-shell relation.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = _coerce_coeff(coeff)
-                if c is None:
-                    raise TypeError("coefficients must be XYPoly or rational")
-                if c:
-                    cleaned[tuple(sorted(mono))] = c
-        self.terms = cleaned
-
-    @classmethod
-    def zero(cls) -> "ReducedJetPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "ReducedJetPoly":
-        return cls({(): XYPoly.one()})
-
-    @classmethod
-    def from_poly(cls, poly) -> "ReducedJetPoly":
-        c = _coerce_coeff(poly)
-        return cls({(): c})
+    __slots__ = ()
 
     @classmethod
     def var(cls, field, k: int) -> "ReducedJetPoly":
@@ -98,14 +190,8 @@ class ReducedJetPoly:
         name = _field_name(field)
         return cls({(((name, int(k)), 1),): XYPoly.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def fields(self):
         return {name for mono in self.terms for ((name, _), _) in mono}
-
-    def jet_variables(self):
-        return {var for mono in self.terms for (var, _) in mono}
 
     def order(self):
         """Max |k| over appearing jet variables; None when coefficient-only."""
@@ -126,109 +212,34 @@ class ReducedJetPoly:
 
     def partial(self, field, k: int) -> "ReducedJetPoly":
         """Partial derivative with respect to the jet variable (field, k)."""
-        var = (_field_name(field), int(k))
-        out = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(var)
-            if not e:
-                continue
-            if e == 1:
-                del exps[var]
-            else:
-                exps[var] = e - 1
-            _acc(out, tuple(sorted(exps.items())), coeff * e)
-        result = ReducedJetPoly.__new__(ReducedJetPoly)
-        result.terms = out
-        return result
+        return _partial(self, (_field_name(field), int(k)))
 
     def total_derivative(self, var: str) -> "ReducedJetPoly":
         """Reduced total derivative: coefficient derivative plus the index
         shift k -> k+1 (for x) or k -> k-1 (for y) through the chain rule."""
-        if var not in ("x", "y"):
-            raise ValueError(f"unknown variable {var!r}")
-        step = 1 if var == "x" else -1
-        out = {}
-        for mono, coeff in self.terms.items():
-            dc = coeff.diff(var)
-            if dc:
-                _acc(out, mono, dc)
-            for (name, k), e in mono:
-                exps = dict(mono)
-                if e == 1:
-                    del exps[(name, k)]
-                else:
-                    exps[(name, k)] = e - 1
-                shifted = (name, k + step)
-                exps[shifted] = exps.get(shifted, 0) + 1
-                _acc(out, tuple(sorted(exps.items())), coeff * e)
-        result = ReducedJetPoly.__new__(ReducedJetPoly)
-        result.terms = out
-        return result
+        return _total_derivative(self, var, _REDUCED_SHIFTS)
 
     def __add__(self, other):
-        other = _coerce_reduced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _acc(out, mono, coeff)
-        result = ReducedJetPoly.__new__(ReducedJetPoly)
-        result.terms = out
-        return result
+        return _ring(self, other, add_terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = ReducedJetPoly.__new__(ReducedJetPoly)
-        result.terms = {mono: -c for mono, c in self.terms.items()}
-        return result
+        return _times(self, -1)
 
     def __sub__(self, other):
-        other = _coerce_reduced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return _ring(self, other, sub_terms)
 
     def __rsub__(self, other):
-        other = _coerce_reduced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return _ring(-self, other, add_terms)
 
     def __mul__(self, other):
-        other = _coerce_reduced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _acc(out, _mono_mul(m1, m2), c1 * c2)
-        result = ReducedJetPoly.__new__(ReducedJetPoly)
-        result.terms = out
-        return result
+        return _times(self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = ReducedJetPoly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        other = _coerce_reduced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((m, hash(c)) for m, c in self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+        return power(ReducedJetPoly.one(), self, exponent)
 
     def sorted_terms(self):
         """Canonical display order: jet degree descending, then by field name
@@ -245,84 +256,30 @@ class ReducedJetPoly:
             return "0"
         pieces = []
         for mono, coeff in self.sorted_terms():
-            body = "*".join(_jet_var_str(name, k, e) for (name, k), e in
-                            sorted(mono, key=lambda ve: (ve[0][0], -ve[0][1])))
+            body = monomial_str(
+                (f"{name}[{k}]", e) for (name, k), e in
+                sorted(mono, key=lambda ve: (ve[0][0], -ve[0][1])))
             pieces.append(_coeff_prefixed(coeff, body))
-        return _join_signed(pieces)
-
-    def __repr__(self):
-        return f"ReducedJetPoly({self})"
-
-
-def _coerce_reduced(value):
-    if isinstance(value, ReducedJetPoly):
-        return value
-    c = _coerce_coeff(value)
-    if c is None:
-        return NotImplemented
-    return ReducedJetPoly({(): c}) if c else ReducedJetPoly.zero()
-
-
-def _jet_var_str(name, k, e):
-    base = f"{name}[{k}]"
-    return base if e == 1 else f"{base}^{e}"
+        return join_signed(pieces)
 
 
 def _coeff_prefixed(coeff: XYPoly, body: str) -> str:
     if not body:
         return str(coeff)
-    if len(coeff.terms) == 1:
-        ((i, j), f) = next(iter(coeff.terms.items()))
-        if (i, j) == (0, 0):
-            if f == 1:
-                return body
-            if f == -1:
-                return "-" + body
-            return f"{f}*{body}"
-        return f"{coeff}*{body}"
-    return f"({coeff})*{body}"
+    if len(coeff.terms) > 1:
+        return f"({coeff})*{body}"
+    if coeff.is_constant():
+        return scalar_prefixed(coeff.constant_value(), body)
+    return f"{coeff}*{body}"
 
 
-def _join_signed(pieces) -> str:
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
-
-
-class FreeJetPoly:
+class FreeJetPoly(_JetPoly):
     """Differential polynomial in the off-shell coordinates u_(a,b), a,b >= 0.
 
     Only the field u lives off shell; coefficients are XYPoly.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = _coerce_coeff(coeff)
-                if c is None:
-                    raise TypeError("coefficients must be XYPoly or rational")
-                if c:
-                    cleaned[tuple(sorted(mono))] = c
-        self.terms = cleaned
-
-    @classmethod
-    def zero(cls) -> "FreeJetPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "FreeJetPoly":
-        return cls({(): XYPoly.one()})
-
-    @classmethod
-    def from_poly(cls, poly) -> "FreeJetPoly":
-        return cls({(): _coerce_coeff(poly)})
+    __slots__ = ()
 
     @classmethod
     def var(cls, a: int, b: int) -> "FreeJetPoly":
@@ -331,118 +288,38 @@ class FreeJetPoly:
             raise ValueError("derivative orders must be nonnegative")
         return cls({(((int(a), int(b)), 1),): XYPoly.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def jet_variables(self):
-        return {var for mono in self.terms for (var, _) in mono}
-
     def order(self):
         orders = [a + b for (a, b) in self.jet_variables()]
         return max(orders) if orders else None
 
     def partial(self, a: int, b: int) -> "FreeJetPoly":
-        var = (int(a), int(b))
-        out = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(var)
-            if not e:
-                continue
-            if e == 1:
-                del exps[var]
-            else:
-                exps[var] = e - 1
-            _acc(out, tuple(sorted(exps.items())), coeff * e)
-        result = FreeJetPoly.__new__(FreeJetPoly)
-        result.terms = out
-        return result
+        return _partial(self, (int(a), int(b)))
 
     def total_derivative(self, var: str) -> "FreeJetPoly":
         """Full off-shell total derivative; no substitution happens here."""
-        if var not in ("x", "y"):
-            raise ValueError(f"unknown variable {var!r}")
-        out = {}
-        for mono, coeff in self.terms.items():
-            dc = coeff.diff(var)
-            if dc:
-                _acc(out, mono, dc)
-            for (a, b), e in mono:
-                exps = dict(mono)
-                if e == 1:
-                    del exps[(a, b)]
-                else:
-                    exps[(a, b)] = e - 1
-                shifted = (a + 1, b) if var == "x" else (a, b + 1)
-                exps[shifted] = exps.get(shifted, 0) + 1
-                _acc(out, tuple(sorted(exps.items())), coeff * e)
-        result = FreeJetPoly.__new__(FreeJetPoly)
-        result.terms = out
-        return result
+        return _total_derivative(self, var, _FREE_SHIFTS)
 
     def __add__(self, other):
-        other = _coerce_free(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _acc(out, mono, coeff)
-        result = FreeJetPoly.__new__(FreeJetPoly)
-        result.terms = out
-        return result
+        return _ring(self, other, add_terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = FreeJetPoly.__new__(FreeJetPoly)
-        result.terms = {mono: -c for mono, c in self.terms.items()}
-        return result
+        return _times(self, -1)
 
     def __sub__(self, other):
-        other = _coerce_free(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return _ring(self, other, sub_terms)
 
     def __rsub__(self, other):
-        other = _coerce_free(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return _ring(-self, other, add_terms)
 
     def __mul__(self, other):
-        other = _coerce_free(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _acc(out, _mono_mul(m1, m2), c1 * c2)
-        result = FreeJetPoly.__new__(FreeJetPoly)
-        result.terms = out
-        return result
+        return _times(self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = FreeJetPoly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        other = _coerce_free(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((m, hash(c)) for m, c in self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+        return power(FreeJetPoly.one(), self, exponent)
 
     def __str__(self):
         if not self.terms:
@@ -453,23 +330,11 @@ class FreeJetPoly:
         for mono, coeff in sorted(self.terms.items(),
                                   key=lambda kv: (-sum(e for _, e in kv[0]),
                                                   mono_key(kv[0]))):
-            body = "*".join(
-                (f"u({a},{b})" if e == 1 else f"u({a},{b})^{e}")
-                for (a, b), e in sorted(mono, key=lambda ve: (-ve[0][0] - ve[0][1], -ve[0][0])))
+            body = monomial_str(
+                (f"u({a},{b})", e) for (a, b), e in
+                sorted(mono, key=lambda ve: (-ve[0][0] - ve[0][1], -ve[0][0])))
             pieces.append(_coeff_prefixed(coeff, body))
-        return _join_signed(pieces)
-
-    def __repr__(self):
-        return f"FreeJetPoly({self})"
-
-
-def _coerce_free(value):
-    if isinstance(value, FreeJetPoly):
-        return value
-    c = _coerce_coeff(value)
-    if c is None:
-        return NotImplemented
-    return FreeJetPoly({(): c}) if c else FreeJetPoly.zero()
+        return join_signed(pieces)
 
 
 class LaurentEval:
@@ -481,13 +346,7 @@ class LaurentEval:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for (i, j, m), value in terms.items():
-                c = Fraction(value)
-                if c:
-                    cleaned[(int(i), int(j), int(m))] = c
-        self.terms = cleaned
+        self.terms = clean_terms(terms, Fraction, int_key)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -495,45 +354,35 @@ class LaurentEval:
     def __add__(self, other):
         if not isinstance(other, LaurentEval):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return LaurentEval(out)
+        return from_terms(LaurentEval, add_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return LaurentEval({key: -c for key, c in self.terms.items()})
+        return from_terms(LaurentEval, scale_terms(self.terms, -1))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentEval):
             return NotImplemented
-        return self + (-other)
+        return from_terms(LaurentEval, sub_terms(self.terms, other.terms))
 
     def scale(self, value) -> "LaurentEval":
-        value = Fraction(value)
-        return LaurentEval({key: c * value for key, c in self.terms.items()})
+        return from_terms(LaurentEval,
+                          scale_terms(self.terms, Fraction(value)))
 
     def shift_lambda(self, n: int) -> "LaurentEval":
         """Multiply by lambda^n."""
-        return LaurentEval({(i, j, m + n): c
-                            for (i, j, m), c in self.terms.items()})
+        return from_terms(LaurentEval, {(i, j, m + n): c for (i, j, m), c
+                                        in self.terms.items()})
 
     def diff(self, var: str) -> "LaurentEval":
-        out = {}
         if var == "x":
-            for (i, j, m), c in self.terms.items():
-                if i:
-                    out[(i - 1, j, m)] = c * i
+            out = {(i - 1, j, m): c * i
+                   for (i, j, m), c in self.terms.items() if i}
         elif var == "y":
-            for (i, j, m), c in self.terms.items():
-                if j:
-                    out[(i, j - 1, m)] = c * j
+            out = {(i, j - 1, m): c * j
+                   for (i, j, m), c in self.terms.items() if j}
         else:
             raise ValueError(f"unknown variable {var!r}")
-        return LaurentEval(out)
+        return from_terms(LaurentEval, out)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentEval):
@@ -550,15 +399,8 @@ class LaurentEval:
         if not self.terms:
             return "0"
         pieces = []
-        for (i, j, m), c in sorted(self.terms.items()):
-            parts = []
-            if i:
-                parts.append("x" if i == 1 else f"x^{i}")
-            if j:
-                parts.append("y" if j == 1 else f"y^{j}")
-            if m:
-                parts.append("L" if m == 1 else f"L^{m}")
-            body = "*".join(parts)
+        for key, c in sorted(self.terms.items()):
+            body = monomial_str(zip(("x", "y", "L"), key))
             pieces.append(f"{c}*{body}" if body else str(c))
         return " + ".join(pieces)
 
@@ -587,22 +429,14 @@ def reduced_J(p: ReducedJetPoly) -> ReducedJetPoly:
 def apply_operator_reduced(a: TDOperator, field=U) -> ReducedJetPoly:
     """Apply an operator to a field on shell: Dx^p Dy^q w reduces to w_(p-q)."""
     name = _field_name(field)
-    out = {}
-    for (p, q), coeff in a.terms.items():
-        _acc(out, (((name, p - q), 1),), coeff)
-    result = ReducedJetPoly.__new__(ReducedJetPoly)
-    result.terms = out
-    return result
+    return from_terms(ReducedJetPoly, accumulate(
+        {}, (((((name, p - q), 1),), c) for (p, q), c in a.terms.items())))
 
 
 def apply_operator_free(a: TDOperator) -> FreeJetPoly:
     """Apply an operator to u off shell: Dx^p Dy^q u is the coordinate u_(p,q)."""
-    out = {}
-    for (p, q), coeff in a.terms.items():
-        _acc(out, (((p, q), 1),), coeff)
-    result = FreeJetPoly.__new__(FreeJetPoly)
-    result.terms = out
-    return result
+    return from_terms(FreeJetPoly, {(((p, q), 1),): c
+                                    for (p, q), c in a.terms.items()})
 
 
 def free_total_derivative(p: FreeJetPoly, var: str) -> FreeJetPoly:
@@ -625,18 +459,19 @@ def euler_operator(p: FreeJetPoly) -> FreeJetPoly:
     return result
 
 
+def _on_shell(mono):
+    """The reduced monomial of a free one: u_(a,b) -> u_(a-b)."""
+    exps = {}
+    for (a, b), e in mono:
+        var = ("u", a - b)
+        exps[var] = exps.get(var, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 def reduce(p: FreeJetPoly) -> ReducedJetPoly:
     """Substitute u_(a,b) -> u_(a-b) using u_xy = u and its consequences."""
-    out = {}
-    for mono, coeff in p.terms.items():
-        exps = {}
-        for (a, b), e in mono:
-            var = ("u", a - b)
-            exps[var] = exps.get(var, 0) + e
-        _acc(out, tuple(sorted(exps.items())), coeff)
-    result = ReducedJetPoly.__new__(ReducedJetPoly)
-    result.terms = out
-    return result
+    return from_terms(ReducedJetPoly, accumulate(
+        {}, ((_on_shell(mono), c) for mono, c in p.terms.items())))
 
 
 def eval_exp_family(p: ReducedJetPoly) -> LaurentEval:
@@ -649,11 +484,6 @@ def eval_exp_family(p: ReducedJetPoly) -> LaurentEval:
     out = {}
     for mono, coeff in p.terms.items():
         weight = sum(k * e for (_, k), e in mono)
-        for (i, j), c in coeff.terms.items():
-            key = (i, j, weight)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return LaurentEval(out)
+        accumulate(out, (((i, j, weight), c)
+                         for (i, j), c in coeff.terms.items()))
+    return from_terms(LaurentEval, out)

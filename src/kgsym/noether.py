@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import RationalMatrix, XYPoly, rank
+from .arith import RationalMatrix, XYPoly, accumulate, rank
 from .jet import (FieldId, F, FreeJetPoly, ReducedJetPoly, U,
                   apply_operator_free, apply_operator_reduced, euler_operator,
                   iterated_derivative, reduce)
@@ -163,12 +163,9 @@ def lift_linear_characteristic(eta: ReducedJetPoly) -> TDOperator:
         raise ValueError(f"lift expects only the field u, found {sorted(extra)}")
     if not eta.is_linear():
         raise ValueError("lift expects a characteristic linear in the jets")
-    terms = {}
-    for mono, coeff in eta.terms.items():
-        ((_, k), _) = mono[0]
-        key = (k, 0) if k >= 0 else (0, -k)
-        terms[key] = terms.get(key, XYPoly.zero()) + coeff
-    return TDOperator(terms)
+    # Each monomial of the linear lift is one coordinate u_(a,b) = Dx^a Dy^b u.
+    return TDOperator({mono[0][0]: coeff
+                       for mono, coeff in _lift_free(eta).terms.items()})
 
 
 def _lift_free(eta: ReducedJetPoly) -> FreeJetPoly:
@@ -176,15 +173,16 @@ def _lift_free(eta: ReducedJetPoly) -> FreeJetPoly:
     extra = eta.fields() - {"u"}
     if extra:
         raise ValueError(f"lift expects only the field u, found {sorted(extra)}")
-    out = {}
-    for mono, coeff in eta.terms.items():
-        exps = {}
-        for (_, k), e in mono:
-            var = (k, 0) if k >= 0 else (0, -k)
-            exps[var] = exps.get(var, 0) + e
-        key = tuple(sorted(exps.items()))
-        out[key] = out.get(key, XYPoly.zero()) + coeff
-    return FreeJetPoly(out)
+    return FreeJetPoly(accumulate({}, ((_lifted_mono(mono), coeff)
+                                       for mono, coeff in eta.terms.items())))
+
+
+def _lifted_mono(mono):
+    exps = {}
+    for (_, k), e in mono:
+        var = (k, 0) if k >= 0 else (0, -k)
+        exps[var] = exps.get(var, 0) + e
+    return tuple(sorted(exps.items()))
 
 
 def is_cl_characteristic(eta: ReducedJetPoly) -> bool:

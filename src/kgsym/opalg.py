@@ -3,43 +3,50 @@ polynomial coefficients.
 
 An operator is a finite sum a_pq(x, y) * Dx^p * Dy^q with all coefficients to
 the left of all derivations; the normal form is unique, so operator equality
-is coefficient-map equality. Composition re-normal-orders through the
-rewriting Dx o a = a*Dx + a_x (and likewise for Dy).
+is coefficient-map equality. Composition re-normal-orders by the Leibniz rule
+Dx^p Dy^q o b = sum C(p,m) C(q,n) (d^m/dx^m d^n/dy^n b) Dx^(p-m) Dy^(q-n).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .arith import XYPoly
+from .arith import (XYPoly, accumulate, add_terms, clean_terms, from_terms,
+                    int_key, join_signed, monomial_str, poly_coefficient,
+                    power, scalar_prefixed, scale_terms, sub_terms)
 
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
 
 
-def _clean(terms):
-    return {key: c for key, c in terms.items() if c}
+def _differentiated(cache, m, n):
+    """The term map of d^m/dx^m d^n/dy^n applied to every coefficient of the
+    term map cache[(0, 0)], memoized in cache. (m, n - 1), or (m - 1, 0)
+    when n is 0, must already be cached."""
+    t = cache.get((m, n))
+    if t is None:
+        prev, var = ((m, n - 1), "y") if n else ((m - 1, 0), "x")
+        t = cache[(m, n)] = {key: dc for key, c in cache[prev].items()
+                             if (dc := c.diff(var))}
+    return t
 
 
-def _acc(out, key, poly):
-    s = out.get(key)
-    s = poly if s is None else s + poly
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
-
-
-def _d_step(terms, var):
-    """Normal form of Dx (or Dy) composed with the operator given by terms."""
-    out = {}
-    for (p, q), c in terms.items():
-        shifted = (p + 1, q) if var == "x" else (p, q + 1)
-        _acc(out, shifted, c)
-        dc = c.diff(var)
-        if dc:
-            _acc(out, (p, q), dc)
-    return out
+def _leibniz(p, q, cache, sign=1):
+    """(key, coefficient) pairs of sign * Dx^p Dy^q o b, where cache holds
+    the term map of b at (0, 0). The sums stop at the first derivative of b
+    that vanishes, so the work is bounded by the degree of b's coefficients,
+    not by p and q."""
+    for m in range(p + 1):
+        if not _differentiated(cache, m, 0):
+            break
+        for n in range(q + 1):
+            db = _differentiated(cache, m, n)
+            if not db:
+                break
+            k = sign * comb(p, m) * comb(q, n)
+            for (r, s), c in db.items():
+                yield (p - m + r, q - n + s), (c if k == 1 else c * k)
 
 
 class TDOperator:
@@ -48,14 +55,7 @@ class TDOperator:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for (p, q), c in terms.items():
-                if not isinstance(c, XYPoly):
-                    c = XYPoly.constant(c)
-                if c:
-                    cleaned[(int(p), int(q))] = c
-        self.terms = cleaned
+        self.terms = clean_terms(terms, poly_coefficient, int_key)
 
     @classmethod
     def zero(cls) -> "TDOperator":
@@ -81,8 +81,6 @@ class TDOperator:
     @classmethod
     def mul_by(cls, poly) -> "TDOperator":
         """Multiplication operator by a polynomial (or constant)."""
-        if not isinstance(poly, XYPoly):
-            poly = XYPoly.constant(poly)
         return cls({(0, 0): poly})
 
     def is_zero(self) -> bool:
@@ -97,38 +95,23 @@ class TDOperator:
     def __add__(self, other):
         if not isinstance(other, TDOperator):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        result = TDOperator.__new__(TDOperator)
-        result.terms = out
-        return result
+        return from_terms(TDOperator, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, TDOperator):
             return NotImplemented
-        return self + (-other)
+        return from_terms(TDOperator, sub_terms(self.terms, other.terms))
 
     def __neg__(self):
-        result = TDOperator.__new__(TDOperator)
-        result.terms = {key: -c for key, c in self.terms.items()}
-        return result
+        return from_terms(TDOperator, scale_terms(self.terms, -1))
 
     def scale(self, value) -> "TDOperator":
         """Multiply by a constant scalar (constants commute with Dx, Dy)."""
-        value = Fraction(value)
-        result = TDOperator.__new__(TDOperator)
-        if value:
-            result.terms = {key: c * value for key, c in self.terms.items()}
-        else:
-            result.terms = {}
-        return result
+        return from_terms(TDOperator, scale_terms(self.terms, Fraction(value)))
 
     def left_mul_poly(self, poly: XYPoly) -> "TDOperator":
         """Left multiplication by a polynomial: poly * self, still normal."""
-        result = TDOperator.__new__(TDOperator)
-        result.terms = _clean({key: poly * c for key, c in self.terms.items()})
-        return result
+        return from_terms(TDOperator, scale_terms(self.terms, poly))
 
     def __mul__(self, other):
         if isinstance(other, TDOperator):
@@ -145,53 +128,24 @@ class TDOperator:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("operator exponent must be a nonnegative integer")
-        result = TDOperator.identity()
-        for _ in range(exponent):
-            result = result.compose(self)
-        return result
+        return power(TDOperator.identity(), self, exponent)
 
     def compose(self, other: "TDOperator") -> "TDOperator":
-        """Normal-ordered product self o other."""
+        """Normal-ordered product self o other, by the Leibniz rule."""
         cache = {(0, 0): other.terms}
-
-        def lifted(p, q):
-            t = cache.get((p, q))
-            if t is None:
-                if p:
-                    t = _d_step(lifted(p - 1, q), "x")
-                else:
-                    t = _d_step(lifted(p, q - 1), "y")
-                cache[(p, q)] = t
-            return t
-
         out = {}
-        for (p, q), coeff in self.terms.items():
-            for key, c in lifted(p, q).items():
-                _acc(out, key, coeff * c)
-        result = TDOperator.__new__(TDOperator)
-        result.terms = out
-        return result
+        for (p, q), a in self.terms.items():
+            lifted = accumulate({}, _leibniz(p, q, cache))
+            accumulate(out, ((key, a * c) for key, c in lifted.items()))
+        return from_terms(TDOperator, out)
 
     def adjoint(self) -> "TDOperator":
         """Formal adjoint: (a * Dx^p * Dy^q)+ = (-1)^(p+q) Dx^p Dy^q o a."""
         out = {}
         for (p, q), c in self.terms.items():
-            t = {(0, 0): c}
-            for _ in range(q):
-                t = _d_step(t, "y")
-            for _ in range(p):
-                t = _d_step(t, "x")
-            if (p + q) % 2:
-                for key, cc in t.items():
-                    _acc(out, key, -cc)
-            else:
-                for key, cc in t.items():
-                    _acc(out, key, cc)
-        result = TDOperator.__new__(TDOperator)
-        result.terms = out
-        return result
+            accumulate(out, _leibniz(p, q, {(0, 0): {(0, 0): c}},
+                                     (-1) ** (p + q)))
+        return from_terms(TDOperator, out)
 
     def __eq__(self, other):
         if not isinstance(other, TDOperator):
@@ -199,7 +153,7 @@ class TDOperator:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((key, hash(c)) for key, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -215,36 +169,17 @@ class TDOperator:
             return "0"
         pieces = []
         for (p, q), c in self.sorted_terms():
-            dpart = _derivative_str(p, q)
+            dpart = monomial_str((("Dx", p), ("Dy", q)))
             if not dpart:
                 pieces.append(str(c))
-            elif c == XYPoly.one():
-                pieces.append(dpart)
             elif c.is_constant():
-                value = c.constant_value()
-                pieces.append("-" + dpart if value == -1
-                              else f"{value}*{dpart}")
+                pieces.append(scalar_prefixed(c.constant_value(), dpart))
             else:
                 pieces.append(f"({c})*{dpart}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return join_signed(pieces)
 
     def __repr__(self):
         return f"TDOperator({self})"
-
-
-def _derivative_str(p, q):
-    parts = []
-    if p:
-        parts.append("Dx" if p == 1 else f"Dx^{p}")
-    if q:
-        parts.append("Dy" if q == 1 else f"Dy^{q}")
-    return "*".join(parts)
 
 
 def generator(name: str, poly=None) -> TDOperator:

@@ -165,3 +165,22 @@ def test_verify_all_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify-all")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_adjoint_of_high_order_operator(capsys):
+    code, out, _ = run_cli(capsys, "adjoint", "Dx^1000")
+    assert code == 0
+    assert out.splitlines()[-1] == "Dx^1000"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["dims", "--max-order", "-3"], "--max-order"),
+    (["verify-all", "--max-order", "-1"], "--max-order"),
+    (["variational-basis", "--order", "-2"], "--order"),
+])
+def test_negative_integer_arguments_rejected(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and option in err

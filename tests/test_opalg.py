@@ -151,3 +151,15 @@ def test_canonical_operator_text():
     assert str(compose(DX, J)) == "(x)*Dx^2 + (-y)*Dx*Dy + Dx"
     assert str(L) == "Dx*Dy - 1"
     assert str(TDOperator.zero()) == "0"
+
+
+def test_compose_high_order_uses_closed_form():
+    # Leibniz: Dx^1000 o x^2 = x^2 Dx^1000 + 2*1000 x Dx^999
+    #                          + 1000*999 Dx^998; no recursion per order.
+    d1000 = TDOperator({(1000, 0): XYPoly.one()})
+    expected = TDOperator({(1000, 0): X ** 2, (999, 0): 2000 * X,
+                           (998, 0): 999000})
+    assert compose(d1000, TDOperator.mul_by(X ** 2)) == expected
+    assert adjoint(d1000) == d1000
+    assert adjoint(TDOperator({(0, 1001): Y})) == -compose(
+        TDOperator({(0, 1001): XYPoly.one()}), TDOperator.mul_by(Y))
