@@ -155,10 +155,6 @@ class XYPoly:
             return cls({(0, 1): 1})
         raise ValueError(f"unknown variable {name!r}; only x and y exist")
 
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff=1) -> "XYPoly":
-        return cls({(i, j): coeff})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -169,12 +165,6 @@ class XYPoly:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
         return self.terms.get((0, 0), Fraction(0))
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(i + j for (i, j) in self.terms)
 
     def diff(self, var: str) -> "XYPoly":
         """Exact partial derivative with respect to x or y."""
@@ -420,3 +410,13 @@ def rank(m: RationalMatrix) -> int:
     """Exact rank via fraction-free elimination."""
     _, pivots = _echelon(_integer_rows(m), m.cols)
     return len(pivots)
+
+
+def terms_rank(rows) -> int:
+    """Exact rank of term maps read as the rows of a matrix over the union
+    of their keys; 0 when no key occurs."""
+    keys = sorted({key for terms in rows for key in terms})
+    if not keys:
+        return 0
+    return rank(RationalMatrix.from_rows(
+        [[terms.get(key, 0) for key in keys] for terms in rows]))

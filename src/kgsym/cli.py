@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from . import verify
 from .noether import (current_C0, current_Ctilde, current_minimal,
                       is_variational_linear)
-from .opalg import basis_op
+from .opalg import basis_op, commutator
 from .parser import ParseError, parse_jet, parse_operator
-from .symmetry import (graded_dimension, is_generalized_symmetry,
+from .symmetry import (dimension_table, is_generalized_symmetry,
                        reduced_bracket, solve_linear_determining)
 
 
@@ -109,22 +109,17 @@ def _nonnegative(args: dict, key: str) -> int:
 
 def _cmd_dims(args: dict) -> Report:
     max_order = _nonnegative(args, "max_order")
-    rows = []
-    for n in range(max_order + 1):
-        d = n + 2
-        graded = graded_dimension(n, d)
-        cumulative = solve_linear_determining(n, d).dim
-        rows.append([str(n), str(graded), str(cumulative)])
     return Report(
         command="dims", arguments={"max_order": str(max_order)},
         result={"kind": "table",
                 "columns": ["order", "graded_dimension", "cumulative_dimension"],
-                "rows": rows})
+                "rows": [[str(v) for v in row]
+                         for row in dimension_table(max_order)]})
 
 
 def _cmd_basis(args: dict) -> Report:
-    n = args["order"]
-    d = args["degree"] if args["degree"] is not None else n + 2
+    n = _nonnegative(args, "order")
+    d = _nonnegative(args, "degree") if args["degree"] is not None else n + 2
     basis = solve_linear_determining(n, d)
     return Report(
         command="basis",
@@ -165,8 +160,7 @@ def _cmd_commutator(args: dict) -> Report:
     return Report(
         command="commutator",
         arguments={"left": args["left"], "right": args["right"]},
-        result={"kind": "operator",
-                "text": str(a.compose(b) - b.compose(a))})
+        result={"kind": "operator", "text": str(commutator(a, b))})
 
 
 def _cmd_variational(args: dict) -> Report:

@@ -198,11 +198,6 @@ class ReducedJetPoly(_JetPoly):
         indices = [abs(k) for (_, k) in self.jet_variables()]
         return max(indices) if indices else None
 
-    def jet_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
     def is_linear(self) -> bool:
         """Linear and homogeneous in the jet variables."""
         return all(sum(e for _, e in mono) == 1 for mono in self.terms)
@@ -288,10 +283,6 @@ class FreeJetPoly(_JetPoly):
             raise ValueError("derivative orders must be nonnegative")
         return cls({(((int(a), int(b)), 1),): XYPoly.one()})
 
-    def order(self):
-        orders = [a + b for (a, b) in self.jet_variables()]
-        return max(orders) if orders else None
-
     def partial(self, a: int, b: int) -> "FreeJetPoly":
         return _partial(self, (int(a), int(b)))
 
@@ -348,25 +339,10 @@ class LaurentEval:
     def __init__(self, terms=None):
         self.terms = clean_terms(terms, Fraction, int_key)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         if not isinstance(other, LaurentEval):
             return NotImplemented
         return from_terms(LaurentEval, add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return from_terms(LaurentEval, scale_terms(self.terms, -1))
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentEval):
-            return NotImplemented
-        return from_terms(LaurentEval, sub_terms(self.terms, other.terms))
-
-    def scale(self, value) -> "LaurentEval":
-        return from_terms(LaurentEval,
-                          scale_terms(self.terms, Fraction(value)))
 
     def shift_lambda(self, n: int) -> "LaurentEval":
         """Multiply by lambda^n."""
@@ -421,6 +397,27 @@ def iterated_derivative(p: ReducedJetPoly, k: int) -> ReducedJetPoly:
     return p
 
 
+def prolonged_action(eta: ReducedJetPoly, p: ReducedJetPoly) -> ReducedJetPoly:
+    """Prolonged action of the evolutionary field of characteristic eta on
+    p: the sum over k of dp/du_k times iterated_derivative(eta, k)."""
+    result = ReducedJetPoly.zero()
+    for (name, k) in sorted(p.jet_variables()):
+        if name != "u":
+            continue
+        dp = p.partial("u", k)
+        if dp:
+            result = result + dp * iterated_derivative(eta, k)
+    return result
+
+
+def require_field_u(p: ReducedJetPoly, message: str):
+    """Raise ValueError(message, found <fields>) unless p involves only the
+    field u."""
+    extra = p.fields() - {"u"}
+    if extra:
+        raise ValueError(f"{message}, found {sorted(extra)}")
+
+
 def reduced_J(p: ReducedJetPoly) -> ReducedJetPoly:
     """The reduced dilation x*Dx - y*Dy acting on a reduced jet polynomial."""
     return (p.total_derivative("x") * _X) - (p.total_derivative("y") * _Y)
@@ -459,19 +456,21 @@ def euler_operator(p: FreeJetPoly) -> FreeJetPoly:
     return result
 
 
-def _on_shell(mono):
-    """The reduced monomial of a free one: u_(a,b) -> u_(a-b)."""
+def substituted(mono, sub):
+    """The monomial mono with each jet variable v replaced by sub(v), the
+    exponents of variables that coincide added."""
     exps = {}
-    for (a, b), e in mono:
-        var = ("u", a - b)
-        exps[var] = exps.get(var, 0) + e
+    for v, e in mono:
+        w = sub(v)
+        exps[w] = exps.get(w, 0) + e
     return tuple(sorted(exps.items()))
 
 
 def reduce(p: FreeJetPoly) -> ReducedJetPoly:
     """Substitute u_(a,b) -> u_(a-b) using u_xy = u and its consequences."""
     return from_terms(ReducedJetPoly, accumulate(
-        {}, ((_on_shell(mono), c) for mono, c in p.terms.items())))
+        {}, ((substituted(mono, lambda v: ("u", v[0] - v[1])), c)
+             for mono, c in p.terms.items())))
 
 
 def eval_exp_family(p: ReducedJetPoly) -> LaurentEval:

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import RationalMatrix, XYPoly, accumulate, rank
+from .arith import XYPoly, accumulate, terms_rank
 from .jet import (FieldId, F, FreeJetPoly, ReducedJetPoly, U,
                   apply_operator_free, apply_operator_reduced, euler_operator,
-                  iterated_derivative, reduce)
-from .opalg import TDOperator, basis_op, kg_operator
+                  prolonged_action, reduce, require_field_u, substituted)
+from .opalg import TDOperator, basis_op, kg_operator, monomial_op
 
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
@@ -99,18 +99,6 @@ def current_Ctilde(a: TDOperator) -> ConservedCurrent:
                             characteristic=apply_operator_reduced(a, U) * 2)
 
 
-def _minimal_word(head: str, side: str, kp: int, lp: int) -> TDOperator:
-    """The operator word head^kp o D^lp with head J, J - 1/2 or J + 1/2 and
-    D the x- or y-derivative."""
-    j = TDOperator.j()
-    if head == "J-":
-        j = j - TDOperator.mul_by(Fraction(1, 2))
-    elif head == "J+":
-        j = j + TDOperator.mul_by(Fraction(1, 2))
-    key = (lp, 0) if side == "x" else (0, lp)
-    return (j ** kp).compose(TDOperator({key: XYPoly.one()}))
-
-
 def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
     """Minimal-order current of the stated family with word orders kp, lp.
 
@@ -118,31 +106,28 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
     needs lp >= 1."""
     if kp < 0 or lp < 0:
         raise ValueError("orders must be nonnegative")
-    if family == "C1":
-        if lp < 1:
+    half = Fraction(1, 2)
+    if family in ("C1", "C1bar"):
+        # C1 and C1bar share one quadratic form with opposite signs; their
+        # characteristic words are Q[2kp+1, 2lp] and Qbar[2kp+1, 2lp].
+        if family == "C1" and lp < 1:
             raise ValueError("family C1 requires lp >= 1")
-        base = apply_operator_free(_minimal_word("J", "x", kp, lp))
+        side, sign = ("X", -1) if family == "C1" else ("Y", 1)
+        base = apply_operator_free(monomial_op(side, kp, lp))
         dx = base.total_derivative("x")
         dy = base.total_derivative("y")
-        t_free = -(dy * dy) * _Y - (base * base) * _X
-        x_free = (dx * dx) * _X + (base * base) * _Y
-        char_op = basis_op("Q", 2 * kp + 1, 2 * lp)
-    elif family == "C1bar":
-        base = apply_operator_free(_minimal_word("J", "y", kp, lp))
-        dx = base.total_derivative("x")
-        dy = base.total_derivative("y")
-        t_free = (dy * dy) * _Y + (base * base) * _X
-        x_free = -(dx * dx) * _X - (base * base) * _Y
-        char_op = (basis_op("Qbar", 2 * kp + 1, 2 * lp) if lp
-                   else basis_op("Q", 2 * kp + 1, 0))
+        square = base * base
+        t_free = ((dy * dy) * _Y + square * _X) * sign
+        x_free = ((dx * dx) * _X + square * _Y) * -sign
+        char_op = monomial_op(side, 2 * kp + 1, 2 * lp, -sign * lp)
     elif family == "C2":
-        base = apply_operator_free(_minimal_word("J-", "x", kp, lp))
+        base = apply_operator_free(monomial_op("X", kp, lp, -half))
         dx = base.total_derivative("x")
         t_free = -(base * base)
         x_free = dx * dx
         char_op = basis_op("Q", 2 * kp, 2 * lp + 1)
     elif family == "C2bar":
-        base = apply_operator_free(_minimal_word("J+", "y", kp, lp))
+        base = apply_operator_free(monomial_op("Y", kp, lp, half))
         dy = base.total_derivative("y")
         t_free = dy * dy
         x_free = -(base * base)
@@ -158,31 +143,25 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
 def lift_linear_characteristic(eta: ReducedJetPoly) -> TDOperator:
     """Re-lift a characteristic linear in the jets of u to the operator whose
     coefficients of u_k become pure Dx^k (k >= 0) or Dy^(-k) powers."""
-    extra = eta.fields() - {"u"}
-    if extra:
-        raise ValueError(f"lift expects only the field u, found {sorted(extra)}")
+    lifted = _lift_free(eta)
     if not eta.is_linear():
         raise ValueError("lift expects a characteristic linear in the jets")
     # Each monomial of the linear lift is one coordinate u_(a,b) = Dx^a Dy^b u.
     return TDOperator({mono[0][0]: coeff
-                       for mono, coeff in _lift_free(eta).terms.items()})
+                       for mono, coeff in lifted.terms.items()})
 
 
 def _lift_free(eta: ReducedJetPoly) -> FreeJetPoly:
     """Lift u_k to the pure derivative u_(k,0) or u_(0,-k)."""
-    extra = eta.fields() - {"u"}
-    if extra:
-        raise ValueError(f"lift expects only the field u, found {sorted(extra)}")
-    return FreeJetPoly(accumulate({}, ((_lifted_mono(mono), coeff)
+    require_field_u(eta, "lift expects only the field u")
+    return FreeJetPoly(accumulate({}, ((substituted(mono, _lifted_var), coeff)
                                        for mono, coeff in eta.terms.items())))
 
 
-def _lifted_mono(mono):
-    exps = {}
-    for (_, k), e in mono:
-        var = (k, 0) if k >= 0 else (0, -k)
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
+def _lifted_var(v):
+    """The free coordinate of u_k: u_(k,0) for k >= 0, else u_(0,-k)."""
+    k = v[1]
+    return (k, 0) if k >= 0 else (0, -k)
 
 
 def is_cl_characteristic(eta: ReducedJetPoly) -> bool:
@@ -205,25 +184,12 @@ class CurrentCandidate:
         return self.divergence.is_zero()
 
 
-def _prolonged_action(eta: ReducedJetPoly, p: ReducedJetPoly) -> ReducedJetPoly:
-    """Evolutionary action on a component: sum over k of dp/du_k times the
-    k-fold reduced derivative of eta (x-derivatives for k >= 0, else y)."""
-    result = ReducedJetPoly.zero()
-    for (name, k) in sorted(p.jet_variables()):
-        if name != "u":
-            continue
-        dp = p.partial("u", k)
-        if dp:
-            result = result + dp * iterated_derivative(eta, k)
-    return result
-
-
 def symmetry_action_on_current(eta: ReducedJetPoly,
                                c: ConservedCurrent) -> CurrentCandidate:
     """Act with the evolutionary field of characteristic eta on both current
     components and report the divergence of the resulting pair."""
-    t = _prolonged_action(eta, c.t)
-    x = _prolonged_action(eta, c.x)
+    t = prolonged_action(eta, c.t)
+    x = prolonged_action(eta, c.x)
     return CurrentCandidate(t=t, x=x, divergence=onshell_divergence(t, x))
 
 
@@ -254,20 +220,8 @@ def count_order_n_currents(n: int) -> int:
 
 def currents_independent(currents) -> bool:
     """Exact linear independence of (T, X) pairs as jet polynomials."""
-    keys = set()
-    for c in currents:
-        for mono, coeff in c.t.terms.items():
-            keys.update(("T", mono, xy) for xy in coeff.terms)
-        for mono, coeff in c.x.terms.items():
-            keys.update(("X", mono, xy) for xy in coeff.terms)
-    keys = sorted(keys, key=repr)
-    rows = []
-    for c in currents:
-        row = []
-        for side, mono, xy in keys:
-            comp = c.t if side == "T" else c.x
-            row.append(comp.terms.get(mono, XYPoly.zero()).terms.get(xy, 0))
-        rows.append(row)
-    if not rows:
-        return True
-    return rank(RationalMatrix.from_rows(rows)) == len(rows)
+    rows = [{(side, mono, xy): c
+             for side, comp in (("T", cur.t), ("X", cur.x))
+             for mono, coeff in comp.terms.items()
+             for xy, c in coeff.terms.items()} for cur in currents]
+    return terms_rank(rows) == len(rows)

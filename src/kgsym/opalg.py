@@ -219,23 +219,18 @@ def kg_operator() -> TDOperator:
 def basis_op(kind: str, k: int, l: int) -> TDOperator:
     """Half-shifted basis operator (J + l/2)^k o Dx^l, or the mirrored
     (J - l/2)^k o Dy^l for kind Qbar (which needs l >= 1)."""
-    if k < 0 or l < 0:
-        raise ValueError("orders must be nonnegative")
     if kind == "Q":
-        shifted = TDOperator.j() + TDOperator.mul_by(Fraction(l, 2))
-        tail = TDOperator({(l, 0): XYPoly.one()})
-    elif kind == "Qbar":
+        return monomial_op("X", k, l, Fraction(l, 2))
+    if kind == "Qbar":
         if l == 0:
             raise ValueError("Qbar requires l >= 1")
-        shifted = TDOperator.j() - TDOperator.mul_by(Fraction(l, 2))
-        tail = TDOperator({(0, l): XYPoly.one()})
-    else:
-        raise ValueError(f"unknown basis kind {kind!r}")
-    return (shifted ** k).compose(tail)
+        return monomial_op("Y", k, l, -Fraction(l, 2))
+    raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def monomial_op(side: str, k: int, l: int) -> TDOperator:
-    """J^k o Dx^l (side X) or J^k o Dy^l (side Y), normal-ordered."""
+def monomial_op(side: str, k: int, l: int, shift=0) -> TDOperator:
+    """The word (J + shift)^k o Dx^l (side X) or (J + shift)^k o Dy^l
+    (side Y), normal-ordered; shift is a rational constant."""
     if k < 0 or l < 0:
         raise ValueError("orders must be nonnegative")
     if side == "X":
@@ -244,7 +239,8 @@ def monomial_op(side: str, k: int, l: int) -> TDOperator:
         tail = TDOperator({(0, l): XYPoly.one()})
     else:
         raise ValueError(f"unknown side {side!r}")
-    return (TDOperator.j() ** k).compose(tail)
+    head = TDOperator.j() + TDOperator.mul_by(shift)
+    return (head ** k).compose(tail)
 
 
 def skew_self_split(a: TDOperator):

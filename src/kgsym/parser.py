@@ -26,6 +26,11 @@ class ParseError(ValueError):
 
 _SYMBOLS = "+-*^()[]/"
 
+# Deepest parenthesis nesting accepted. Each level costs a few stack frames
+# of the recursive descent, so this keeps parsing far below Python's
+# recursion limit; deeper input is a ParseError.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -63,6 +68,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -101,16 +107,14 @@ class _Parser:
         return value
 
     def unary(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return -self.unary()
-        if self.peek()[0] == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+        negative = False
+        while self.peek()[0] in ("+", "-"):
+            negative ^= self.advance()[0] == "-"
+        value = self.power()
+        return -value if negative else value
 
     def power(self):
-        value = self.atom()
+        value = self.primary()
         if self.peek()[0] == "^":
             self.advance()
             tok = self.peek()
@@ -130,6 +134,21 @@ class _Parser:
             value = Fraction(value, int(den[1]))
         return value
 
+    def primary(self):
+        """A parenthesized expression, or else an atom."""
+        tok = self.peek()
+        if tok[0] != "(":
+            return self.atom()
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                             tok[2])
+        self.advance()
+        self.depth += 1
+        inner = self.expression()
+        self.depth -= 1
+        self.expect(")")
+        return inner
+
     def atom(self):
         raise NotImplementedError
 
@@ -138,10 +157,6 @@ class _OperatorParser(_Parser):
     def atom(self) -> TDOperator:
         tok = self.advance()
         kind, value, pos = tok
-        if kind == "(":
-            inner = self.expression()
-            self.expect(")")
-            return inner
         if kind == "INT":
             return TDOperator.mul_by(self.rational(tok))
         if kind == "NAME":
@@ -161,10 +176,6 @@ class _JetParser(_Parser):
     def atom(self) -> ReducedJetPoly:
         tok = self.advance()
         kind, value, pos = tok
-        if kind == "(":
-            inner = self.expression()
-            self.expect(")")
-            return inner
         if kind == "INT":
             return ReducedJetPoly.from_poly(self.rational(tok))
         if kind == "NAME":

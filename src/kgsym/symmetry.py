@@ -7,21 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .arith import RationalMatrix, XYPoly, nullspace, rank
-from .jet import ReducedJetPoly, eval_exp_family, iterated_derivative
-
-
-def _require_single_field_u(p: ReducedJetPoly, what: str):
-    extra = p.fields() - {"u"}
-    if extra:
-        raise ValueError(f"{what} must involve only the field u, "
-                         f"found {sorted(extra)}")
+from .arith import RationalMatrix, XYPoly, nullspace, terms_rank
+from .jet import (ReducedJetPoly, eval_exp_family, prolonged_action,
+                  require_field_u)
 
 
 def is_generalized_symmetry(eta: ReducedJetPoly) -> bool:
     """True iff the reduced total derivative in x then y returns eta exactly,
     i.e. eta solves the linearized equation on shell."""
-    _require_single_field_u(eta, "characteristic")
+    require_field_u(eta, "characteristic must involve only the field u")
     return eta.total_derivative("x").total_derivative("y") == eta
 
 
@@ -129,21 +123,20 @@ def graded_dimension(n: int, d: int) -> int:
     return total - below
 
 
+def dimension_table(max_order: int):
+    """(n, graded dimension, cumulative dimension) for n = 0..max_order, each
+    at the degree bound d = n + 2."""
+    return [(n, graded_dimension(n, n + 2),
+             solve_linear_determining(n, n + 2).dim)
+            for n in range(max_order + 1)]
+
+
 def reduced_bracket(eta1: ReducedJetPoly, eta2: ReducedJetPoly) -> ReducedJetPoly:
     """Reduced Lie bracket of evolutionary fields with characteristics eta1,
     eta2: the prolongation of each applied to the other, antisymmetrized."""
-    _require_single_field_u(eta1, "bracket argument")
-    _require_single_field_u(eta2, "bracket argument")
-    indices = {k for (_, k) in eta1.jet_variables() | eta2.jet_variables()}
-    result = ReducedJetPoly.zero()
-    for k in sorted(indices):
-        d2 = eta2.partial("u", k)
-        if d2:
-            result = result + d2 * iterated_derivative(eta1, k)
-        d1 = eta1.partial("u", k)
-        if d1:
-            result = result - d1 * iterated_derivative(eta2, k)
-    return result
+    for eta in (eta1, eta2):
+        require_field_u(eta, "bracket argument must involve only the field u")
+    return prolonged_action(eta1, eta2) - prolonged_action(eta2, eta1)
 
 
 def independence_rank(basis) -> int:
@@ -155,10 +148,5 @@ def independence_rank(basis) -> int:
         if not eta.is_linear():
             raise ValueError("independence test expects characteristics "
                              "linear in the jets")
-        evals.append(eval_exp_family(eta))
-    keys = sorted({key for ev in evals for key in ev.terms})
-    if not keys:
-        return 0
-    matrix = RationalMatrix.from_rows(
-        [[ev.terms.get(key, 0) for key in keys] for ev in evals])
-    return rank(matrix)
+        evals.append(eval_exp_family(eta).terms)
+    return terms_rank(evals)

@@ -19,7 +19,7 @@ from .noether import (current_C0, current_Ctilde, current_minimal,
                       symmetry_action_on_current)
 from .opalg import TDOperator, basis_op, commutator, kg_operator, monomial_op
 from .parser import parse_jet, parse_operator
-from .symmetry import (graded_dimension, independence_rank,
+from .symmetry import (dimension_table, independence_rank, reduced_bracket,
                        solve_linear_determining)
 
 ROUND_TRIP_SEED = 20260811
@@ -36,38 +36,45 @@ class CheckResult:
         return f"{status}  {self.name}: {self.detail}"
 
 
-def _skew_basis_ops(max_total: int):
-    """All skew-adjoint basis operators with k + l <= max_total (odd k + l)."""
-    ops = []
-    for total in range(1, max_total + 1, 2):
+def _checked(name: str, failures, summary: str) -> CheckResult:
+    """The result of a check: passed when failures is empty, with the
+    failures as its detail, or else the summary."""
+    return CheckResult(name, not failures,
+                       "; ".join(failures) if failures else summary)
+
+
+def _basis_shapes(max_total: int):
+    """(kind, k, l) of every basis operator with k + l <= max_total, by
+    total order, then k, then Q before Qbar (which needs l >= 1)."""
+    for total in range(max_total + 1):
         for k in range(total + 1):
             l = total - k
-            ops.append(("Q", k, l, basis_op("Q", k, l)))
-            if l >= 1:
-                ops.append(("Qbar", k, l, basis_op("Qbar", k, l)))
-    return ops
+            yield "Q", k, l
+            if l:
+                yield "Qbar", k, l
+
+
+def _skew_basis_ops(max_total: int):
+    """All skew-adjoint basis operators with k + l <= max_total (odd k + l)."""
+    return [(kind, k, l, basis_op(kind, k, l))
+            for kind, k, l in _basis_shapes(max_total) if (k + l) % 2]
 
 
 def check_dimension_tables(max_order: int = 5) -> CheckResult:
     """Graded dimension 2n+1 and cumulative dimension (n+1)^2, with a degree
     saturation re-check one step above the default bound."""
     failures = []
-    rows = []
-    for n in range(max_order + 1):
-        d = n + 2
-        graded = graded_dimension(n, d)
-        cumulative = solve_linear_determining(n, d).dim
-        saturated = solve_linear_determining(n, d + 1).dim
-        rows.append((n, graded, cumulative))
+    rows = dimension_table(max_order)
+    for n, graded, cumulative in rows:
+        saturated = solve_linear_determining(n, n + 3).dim
         if graded != 2 * n + 1:
             failures.append(f"graded({n})={graded}!={2 * n + 1}")
         if cumulative != (n + 1) ** 2:
             failures.append(f"cumulative({n})={cumulative}!={(n + 1) ** 2}")
         if saturated != cumulative:
             failures.append(f"saturation({n}): {saturated}!={cumulative}")
-    detail = ("; ".join(failures) if failures else
-              ", ".join(f"n={n}: {g}/{c}" for n, g, c in rows))
-    return CheckResult("dimension tables", not failures, detail)
+    return _checked("dimension tables", failures,
+                    ", ".join(f"n={n}: {g}/{c}" for n, g, c in rows))
 
 
 def check_adjoint_parity(max_index: int = 4) -> CheckResult:
@@ -84,8 +91,7 @@ def check_adjoint_parity(max_index: int = 4) -> CheckResult:
                 count += 1
                 if op.adjoint() != op.scale(sign):
                     failures.append(f"{kind}[{k},{l}]")
-    detail = "; ".join(failures) if failures else f"{count} operators checked"
-    return CheckResult("adjoint parity", not failures, detail)
+    return _checked("adjoint parity", failures, f"{count} operators checked")
 
 
 def check_centrality(max_total: int = 6) -> CheckResult:
@@ -100,15 +106,13 @@ def check_centrality(max_total: int = 6) -> CheckResult:
                 count += 1
                 if not commutator(kg, monomial_op(side, k, l)).is_zero():
                     failures.append(f"{side}[{k},{l}]")
-    detail = "; ".join(failures) if failures else f"{count} words checked"
-    return CheckResult("centrality of the equation operator",
-                       not failures, detail)
+    return _checked("centrality of the equation operator", failures,
+                    f"{count} words checked")
 
 
 def check_structure_constants() -> CheckResult:
     """Reduced brackets of the essential characteristics reproduce the
     commutation relations [e1,e2]=0, [e1,e3]=e1, [e2,e3]=-e2 with e0 central."""
-    from .symmetry import reduced_bracket
     u0 = ReducedJetPoly.var("u", 0)
     e0, e1, e2 = u0, -ReducedJetPoly.var("u", 1), -ReducedJetPoly.var("u", -1)
     e3 = -reduced_J(u0)
@@ -122,25 +126,19 @@ def check_structure_constants() -> CheckResult:
     for i, e in enumerate((e1, e2, e3), start=1):
         if not reduced_bracket(e0, e).is_zero():
             failures.append(f"[e0,e{i}]!=0")
-    detail = "; ".join(failures) if failures else "all relations hold"
-    return CheckResult("structure constants", not failures, detail)
+    return _checked("structure constants", failures, "all relations hold")
 
 
 def check_variational_parity(max_total: int = 7) -> CheckResult:
     """Linear basis operators are variational exactly when k + l is odd."""
     failures = []
     count = 0
-    for total in range(max_total + 1):
-        for k in range(total + 1):
-            l = total - k
-            for kind in ("Q", "Qbar"):
-                if kind == "Qbar" and l == 0:
-                    continue
-                count += 1
-                if is_variational_linear(basis_op(kind, k, l)) != (total % 2 == 1):
-                    failures.append(f"{kind}[{k},{l}]")
-    detail = "; ".join(failures) if failures else f"{count} operators checked"
-    return CheckResult("variational parity", not failures, detail)
+    for kind, k, l in _basis_shapes(max_total):
+        count += 1
+        if is_variational_linear(basis_op(kind, k, l)) != ((k + l) % 2 == 1):
+            failures.append(f"{kind}[{k},{l}]")
+    return _checked("variational parity", failures,
+                    f"{count} operators checked")
 
 
 def check_reduced_lift_remark() -> CheckResult:
@@ -164,8 +162,8 @@ def check_reduced_lift_remark() -> CheckResult:
     expected_difference = xy.compose(TDOperator.j()).compose(kg_operator()).scale(3)
     if lifted - j3 != expected_difference:
         failures.append("difference is not 3xy*J*(DxDy - 1)")
-    detail = "; ".join(failures) if failures else "all three assertions hold"
-    return CheckResult("reduced-lift counterexample", not failures, detail)
+    return _checked("reduced-lift counterexample", failures,
+                    "all three assertions hold")
 
 
 def check_conservation() -> CheckResult:
@@ -198,8 +196,7 @@ def check_conservation() -> CheckResult:
                     continue
                 recheck(f"{family}[{kp},{lp}]",
                         current_minimal(family, kp, lp), kp + lp + 1)
-    detail = "; ".join(failures) if failures else f"{count} currents verified"
-    return CheckResult("conservation", not failures, detail)
+    return _checked("conservation", failures, f"{count} currents verified")
 
 
 def check_generating_action(max_total: int = 3) -> CheckResult:
@@ -221,8 +218,8 @@ def check_generating_action(max_total: int = 3) -> CheckResult:
     if not (candidate.t == barred.t and candidate.x == barred.x
             and candidate.is_conserved):
         failures.append("superposition action does not give the barred current")
-    detail = "; ".join(failures) if failures else "componentwise identities hold"
-    return CheckResult("generating conservation law", not failures, detail)
+    return _checked("generating conservation law", failures,
+                    "componentwise identities hold")
 
 
 def check_counting(max_order: int = 5) -> CheckResult:
@@ -235,8 +232,7 @@ def check_counting(max_order: int = 5) -> CheckResult:
         counts.append(f"n={n}: {count}")
         if count != 4 * n - 1:
             failures.append(f"count({n})={count}!={4 * n - 1}")
-    detail = "; ".join(failures) if failures else ", ".join(counts)
-    return CheckResult("conservation-law counting", not failures, detail)
+    return _checked("conservation-law counting", failures, ", ".join(counts))
 
 
 def check_independence(max_order: int = 5) -> CheckResult:
@@ -251,10 +247,8 @@ def check_independence(max_order: int = 5) -> CheckResult:
         r = independence_rank(chars)
         if r != 2 * n + 1:
             failures.append(f"rank({n})={r}!={2 * n + 1}")
-    detail = ("; ".join(failures) if failures else
-              f"full rank up to order {max_order}")
-    return CheckResult("independence on the solution family",
-                       not failures, detail)
+    return _checked("independence on the solution family", failures,
+                    f"full rank up to order {max_order}")
 
 
 def random_rational(rng, allow_zero=True) -> Fraction:
@@ -311,9 +305,8 @@ def check_parser_round_trip(count: int = 1000) -> CheckResult:
         p = random_reduced_jet(rng)
         if parse_jet(str(p)) != p:
             failures.append(f"jet #{i}: {p}")
-    detail = ("; ".join(failures[:5]) if failures
-              else f"{2 * count} round trips")
-    return CheckResult("parser round trip", not failures, detail)
+    return _checked("parser round trip", failures[:5],
+                    f"{2 * count} round trips")
 
 
 def run_all(max_order: int = 5):

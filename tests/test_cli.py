@@ -177,6 +177,9 @@ def test_adjoint_of_high_order_operator(capsys):
     (["dims", "--max-order", "-3"], "--max-order"),
     (["verify-all", "--max-order", "-1"], "--max-order"),
     (["variational-basis", "--order", "-2"], "--order"),
+    (["basis", "--order", "-2"], "--order"),
+    (["basis", "--order", "-3", "--degree", "-5"], "--order"),
+    (["basis", "--order", "1", "--degree", "-1"], "--degree"),
 ])
 def test_negative_integer_arguments_rejected(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
@@ -184,3 +187,19 @@ def test_negative_integer_arguments_rejected(capsys, argv, option):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: ") and option in err
+
+
+def test_deeply_nested_parentheses_rejected(capsys):
+    code, out, err = run_cli(capsys, "adjoint", "(" * 1000 + "x" + ")" * 1000)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "position 100" in err
+
+
+@pytest.mark.parametrize("signs, expected", [
+    ("-" * 1500, "x"), ("+" * 1500, "x"), ("-" * 1501, "-x")])
+def test_long_sign_runs_parse(capsys, signs, expected):
+    code, out, _ = run_cli(capsys, "adjoint", "--", signs + "x")
+    assert code == 0
+    assert out.splitlines()[-1] == expected

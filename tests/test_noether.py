@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from kgsym.arith import XYPoly
-from kgsym.jet import ReducedJetPoly, apply_operator_reduced, reduced_J
+from kgsym.jet import (FreeJetPoly, ReducedJetPoly, apply_operator_reduced,
+                       euler_operator, reduced_J)
 from kgsym.noether import (ConservedCurrent, count_order_n_currents,
                            current_C0, current_Ctilde, current_minimal,
                            currents_independent, is_cl_characteristic,
@@ -75,6 +76,21 @@ def test_reduced_lift_of_cubic_dilation():
     assert lifted.adjoint() != -lifted
     assert not (kg_operator().compose(lifted)
                 - lifted.compose(kg_operator())).is_zero()
+
+
+def test_reduced_lift_divergence_witness():
+    # The README's second route to the criterion_06 discrepancy: the
+    # on-shell-zero characteristic 3xy J F times the equation expression F
+    # is the exact divergence Dx(3/2 x^2 y F^2) - Dy(3/2 x y^2 F^2).
+    F = FreeJetPoly.var(1, 1) - FreeJetPoly.var(0, 0)
+    JF = F.total_derivative("x") * X - F.total_derivative("y") * Y
+    product = JF * F * (3 * X * Y)
+    half3 = Fraction(3, 2)
+    divergence = ((F * F * (half3 * X * X * Y)).total_derivative("x")
+                  - (F * F * (half3 * X * Y * Y)).total_derivative("y"))
+    assert product == divergence
+    assert euler_operator(product).is_zero()
+
 
 
 def test_lift_rejects_nonlinear_input():

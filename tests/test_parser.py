@@ -8,7 +8,7 @@ import pytest
 from kgsym.arith import XYPoly
 from kgsym.jet import ReducedJetPoly, reduced_J
 from kgsym.opalg import TDOperator, basis_op, kg_operator
-from kgsym.parser import ParseError, parse_jet, parse_operator
+from kgsym.parser import MAX_NESTING, ParseError, parse_jet, parse_operator
 from kgsym.verify import random_operator, random_reduced_jet
 
 
@@ -62,6 +62,14 @@ def test_negative_exponent_rejected():
     assert "negative" in str(excinfo.value)
     with pytest.raises(ParseError):
         parse_jet("u[0]^-2")
+
+
+def test_parenthesis_nesting_bound():
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_operator(deepest) == parse_operator("x")
+    with pytest.raises(ParseError) as excinfo:
+        parse_jet("(" + deepest + ")")
+    assert excinfo.value.position == MAX_NESTING
 
 
 def test_trailing_input_rejected():
