@@ -326,7 +326,8 @@ def _integer_rows(m: RationalMatrix):
         for v in row:
             if v:
                 den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(v * den) for v in row]
+        ints = [v.numerator * (den // v.denominator) if v else 0
+                for v in row]
         g = 0
         for v in ints:
             g = gcd(g, v)

@@ -1,7 +1,9 @@
 """Command-line front end: dispatch, text/JSON reports, verification suite.
 
-Exit codes: 0 on success, 1 when `verify-all` finds a failing check, 2 for
-usage errors, malformed expressions and violated preconditions. All numbers
+Exit codes: 0 on success, 1 when `verify-all` finds a failing check or
+when stdout is closed before the report is written (a broken pipe; no
+traceback is printed), 2 for usage errors, malformed expressions and
+violated preconditions. All numbers
 in JSON payloads are decimal strings, since exact rationals overflow native
 JSON numbers.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -191,7 +194,10 @@ def _cmd_current(args: dict) -> Report:
     family = args["family"]
     rest = args["rest"]
     if family == "C0":
-        barred = bool(rest and rest[0] == "barred")
+        if rest not in ([], ["barred"]):
+            raise UsageError("current C0 takes no argument except an "
+                             f"optional 'barred', got {' '.join(rest)!r}")
+        barred = bool(rest)
         current = current_C0(barred=barred)
         arguments = {"family": "C0", "barred": str(barred).lower()}
     elif family == "Ctilde":
@@ -332,7 +338,14 @@ def main(argv=None) -> int:
         with open(ns.out, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
     else:
-        print(rendered)
+        try:
+            print(rendered)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader is gone; point stdout at devnull so that the
+            # interpreter's own flush at exit does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return report.exit_code
 
 

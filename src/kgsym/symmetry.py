@@ -44,11 +44,18 @@ class DeterminingSystem:
 
     Rows expand, monomial by monomial, the conditions
     eta^k_xy + eta^(k-1)_y + eta^(k+1)_x = 0 for k from -order-1 to order+1
-    with all out-of-range eta's zero."""
+    with all out-of-range eta's zero.
+
+    The scaling x -> lambda x, y -> y / lambda grades the system: each of
+    the three terms maps the unknown (k, i, j), the coefficient of
+    x^i y^j u_k, into an equation of the same weight i - j - k. So the
+    system is block diagonal. blocks holds, in ascending weight, one
+    (columns, matrix) pair per weight: the ascending indices into unknowns
+    of that weight and the matrix of its equations over those columns."""
     order: int
     degree: int
     unknowns: list
-    matrix: RationalMatrix
+    blocks: list
 
     @classmethod
     def assemble(cls, order: int, degree: int) -> "DeterminingSystem":
@@ -57,39 +64,46 @@ class DeterminingSystem:
         n, d = order, degree
         unknowns = [(k, i, j) for k in range(-n, n + 1)
                     for i in range(d + 1) for j in range(d + 1 - i)]
-        column = {u: idx for idx, u in enumerate(unknowns)}
-        rows = {}
+        columns = {}    # weight -> its columns, ascending
+        rows = {}       # weight -> equation key -> {local column: value}
 
-        def put(eq_key, col, value):
-            row = rows.setdefault(eq_key, {})
-            row[col] = row.get(col, 0) + value
+        for col, (k, i, j) in enumerate(unknowns):
+            weight = i - j - k
+            block_cols = columns.setdefault(weight, [])
+            local = len(block_cols)
+            block_cols.append(col)
+            equations = rows.setdefault(weight, {})
+            if i >= 1 and j >= 1:                # eta^k_xy in Delta_k
+                equations.setdefault((k, i - 1, j - 1), {})[local] = i * j
+            if j >= 1:                           # eta^k_y in Delta_(k+1)
+                equations.setdefault((k + 1, i, j - 1), {})[local] = j
+            if i >= 1:                           # eta^k_x in Delta_(k-1)
+                equations.setdefault((k - 1, i - 1, j), {})[local] = i
 
-        for (k, i, j), col in column.items():
-            if i >= 1 and j >= 1:
-                put((k, i - 1, j - 1), col, i * j)      # eta^k_xy in Delta_k
-            if j >= 1:
-                put((k + 1, i, j - 1), col, j)          # eta^k_y in Delta_(k+1)
-            if i >= 1:
-                put((k - 1, i - 1, j), col, i)          # eta^k_x in Delta_(k-1)
-
-        entries = []
-        width = len(unknowns)
-        for eq_key in sorted(rows):
-            row = rows[eq_key]
-            entries.append([row.get(c, 0) for c in range(width)])
-        return cls(order=n, degree=d, unknowns=unknowns,
-                   matrix=RationalMatrix.from_rows(entries) if entries
-                   else RationalMatrix(0, width, []))
+        blocks = []
+        for weight in sorted(columns):
+            width = len(columns[weight])
+            equations = rows[weight]
+            entries = [[row.get(c, 0) for c in range(width)]
+                       for row in (equations[key] for key in sorted(equations))]
+            blocks.append((columns[weight],
+                           RationalMatrix(len(entries), width, entries)))
+        return cls(order=n, degree=d, unknowns=unknowns, blocks=blocks)
 
     def solve(self) -> SymmetryBasis:
-        kernel = nullspace(self.matrix)
+        """The kernel of every block, embedded into the global columns and
+        ordered by global free column: the reduced-echelon kernel basis of
+        the whole system, since a block-diagonal matrix has the pivots of
+        its blocks. A block vector's free column is its last nonzero entry."""
+        kernel = [[(cols[c], v) for c, v in enumerate(vec) if v]
+                  for cols, matrix in self.blocks for vec in nullspace(matrix)]
+        kernel.sort(key=lambda support: support[-1][0])
         elements = []
-        for vec in kernel:
+        for support in kernel:
             coeffs = {}
-            for col, (k, i, j) in enumerate(self.unknowns):
-                v = vec[col]
-                if v:
-                    coeffs.setdefault(k, {})[(i, j)] = v
+            for col, v in support:
+                k, i, j = self.unknowns[col]
+                coeffs.setdefault(k, {})[(i, j)] = v
             eta = ReducedJetPoly({((("u", k), 1),): XYPoly(poly)
                                   for k, poly in coeffs.items()})
             elements.append(eta)

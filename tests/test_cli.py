@@ -1,6 +1,10 @@
 """CLI tests: dispatch, report formats, exit codes, JSON round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,32 @@ def test_long_sign_runs_parse(capsys, signs, expected):
     code, out, _ = run_cli(capsys, "adjoint", "--", signs + "x")
     assert code == 0
     assert out.splitlines()[-1] == expected
+
+
+@pytest.mark.parametrize("rest", [["nonsense", "extra"], ["barred", "x"],
+                                  ["unbarred"]])
+def test_current_C0_rejects_trailing_words(capsys, rest):
+    code, out, err = run_cli(capsys, "current", "C0", *rest)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "barred" in err
+
+
+def test_closed_stdout_exits_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)          # no reader is left when the report is written
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgsym.cli", "current", "C0"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kgsym.arith import XYPoly
+from kgsym.arith import RationalMatrix, XYPoly, nullspace
 from kgsym.jet import ReducedJetPoly, apply_operator_reduced, reduced_J
 from kgsym.opalg import monomial_op
 from kgsym.symmetry import (DeterminingSystem, graded_dimension,
@@ -50,7 +50,83 @@ def test_determining_system_shape():
     system = DeterminingSystem.assemble(1, 3)
     # 3 coefficient functions with 10 monomials each
     assert len(system.unknowns) == 30
-    assert system.matrix.cols == 30
+    assert sum(matrix.cols for _, matrix in system.blocks) == 30
+
+
+def _dense_rows(n, d):
+    """The determining equations expanded directly: one {unknown: value}
+    row per equation, from the coefficient of x^a y^b in
+    eta^k_xy + eta^(k-1)_y + eta^(k+1)_x."""
+    unknowns = {(k, i, j) for k in range(-n, n + 1)
+                for i in range(d + 1) for j in range(d + 1 - i)}
+    rows = []
+    for k in range(-n - 1, n + 2):
+        for a in range(d + 1):
+            for b in range(d + 1 - a):
+                row = {}
+                for unknown, value in (((k, a + 1, b + 1), (a + 1) * (b + 1)),
+                                       ((k - 1, a, b + 1), b + 1),
+                                       ((k + 1, a + 1, b), a + 1)):
+                    if unknown in unknowns:
+                        row[unknown] = value
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def _weight(unknown):
+    k, i, j = unknown
+    return i - j - k
+
+
+def _global_rows(system):
+    """Every block row as {unknown: value} over the global unknowns."""
+    return [{system.unknowns[cols[c]]: v for c, v in enumerate(row) if v}
+            for cols, matrix in system.blocks for row in matrix.entries]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_determining_rows_have_one_weight(n):
+    for d in range(n + 3):
+        system = DeterminingSystem.assemble(n, d)
+        for cols, _ in system.blocks:
+            assert len({_weight(system.unknowns[c]) for c in cols}) == 1
+        dense = _dense_rows(n, d)
+        for row in dense:
+            assert len({_weight(unknown) for unknown in row}) == 1
+        key = lambda row: sorted(row.items())
+        assert sorted(map(key, _global_rows(system))) == sorted(map(key, dense))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_determining_blocks_partition_columns(n):
+    for d in range(n + 3):
+        system = DeterminingSystem.assemble(n, d)
+        cols = [c for block_cols, _ in system.blocks for c in block_cols]
+        assert sorted(cols) == list(range(len(system.unknowns)))
+        for block_cols, matrix in system.blocks:
+            assert block_cols == sorted(block_cols)
+            assert matrix.cols == len(block_cols)
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 4), (3, 5), (0, 8)])
+def test_blocked_solve_equals_dense_kernel(n, d):
+    system = DeterminingSystem.assemble(n, d)
+    width = len(system.unknowns)
+    entries = []
+    for cols, matrix in system.blocks:
+        for row in matrix.entries:
+            full = [0] * width
+            for c, v in enumerate(row):
+                full[cols[c]] = v
+            entries.append(full)
+    expected = []
+    for vec in nullspace(RationalMatrix(len(entries), width, entries)):
+        eta = ReducedJetPoly.zero()
+        for col, (k, i, j) in enumerate(system.unknowns):
+            eta = eta + u(k) * XYPoly({(i, j): vec[col]})
+        expected.append(eta)
+    assert system.solve().elements == expected
 
 
 @pytest.mark.parametrize("n", range(6))

@@ -1,10 +1,13 @@
-"""Independent check of operator composition and the formal adjoint: both
-sides are applied to a generic function g(x, y) and compared in sympy."""
+"""Independent checks in sympy: operator composition and the formal adjoint
+are applied to a generic function g(x, y), and the exact kernel and rank are
+compared with sympy's own on random sparse rational matrices."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from kgsym.arith import RationalMatrix, nullspace, rank
 from kgsym.verify import random_operator
 
 sympy = pytest.importorskip("sympy")
@@ -44,3 +47,46 @@ def test_compose_matches_sympy(seed):
 def test_adjoint_matches_sympy(seed):
     a = random_operator(random.Random(1000 + seed), max_order=4)
     assert sympy.expand(_apply(a.adjoint(), g) - _adjoint_applied(a, g)) == 0
+
+
+def _sparse_rows(rng, rows, cols, density=0.3):
+    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+             if rng.random() < density else Fraction(0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _deficient_rows(rng, rows, cols, true_rank):
+    """rows x cols of rank at most true_rank: combinations of a few rows."""
+    base = _sparse_rows(rng, true_rank, cols, density=0.5)
+    out = []
+    for _ in range(rows):
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for _ in base]
+        out.append([sum((w * row[c] for w, row in zip(weights, base)),
+                        Fraction(0)) for c in range(cols)])
+    return out
+
+
+def _shapes(seed):
+    rng = random.Random(seed)
+    return [_sparse_rows(rng, 9, 4),                  # tall
+            _sparse_rows(rng, 3, 8),                  # wide
+            _sparse_rows(rng, 6, 6, density=0.15),    # square, sparse
+            [[Fraction(0)] * 5 for _ in range(3)],    # zero
+            _deficient_rows(rng, 7, 6, 3),            # rank-deficient
+            _deficient_rows(rng, 4, 9, 2)]
+
+
+def _sympy_matrix(entries):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                          for v in row] for row in entries])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_nullspace_and_rank_match_sympy(seed):
+    for entries in _shapes(seed):
+        m = RationalMatrix.from_rows(entries)
+        expected = [[Fraction(int(v.p), int(v.q)) for v in vec]
+                    for vec in _sympy_matrix(entries).nullspace()]
+        assert nullspace(m) == expected
+        assert rank(m) == _sympy_matrix(entries).rank()
