@@ -22,7 +22,7 @@ def _as_rational(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-# Term maps. XYPoly, the jet polynomials, LaurentEval and TDOperator all keep
+# Term maps. XYPoly, the jet polynomials and TDOperator all keep
 # their terms as a plain dict from monomial keys to nonzero coefficients. The
 # functions below are the one implementation of that sparse algebra; a
 # coefficient only needs +, * and truthiness.
@@ -268,22 +268,6 @@ def _poly_term_str(key, coeff) -> str:
     return scalar_prefixed(coeff, body) if body else str(coeff)
 
 
-def poly_arith(a: XYPoly, b: XYPoly, op: str) -> XYPoly:
-    """Ring operation on two polynomials; op is one of add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def poly_diff(a: XYPoly, var: str) -> XYPoly:
-    """Exact partial derivative of a with respect to x or y."""
-    return a.diff(var)
-
-
 class RationalMatrix:
     """Dense matrix of exact rationals."""
 
@@ -302,12 +286,6 @@ class RationalMatrix:
         rows = len(entries)
         cols = len(entries[0]) if entries else 0
         return cls(rows, cols, entries)
-
-    def mul_vector(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return [sum((row[c] * vec[c] for c in range(self.cols)), Fraction(0))
-                for row in self.entries]
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix)

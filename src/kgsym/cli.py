@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when `verify-all` finds a failing check or
 when stdout is closed before the report is written (a broken pipe; no
-traceback is printed), 2 for usage errors, malformed expressions and
-violated preconditions. All numbers
+traceback is printed), 2 for usage errors, malformed expressions,
+violated preconditions and an --out file that cannot be written. All numbers
 in JSON payloads are decimal strings, since exact rationals overflow native
 JSON numbers.
 """
@@ -213,6 +213,10 @@ def _cmd_current(args: dict) -> Report:
             kp, lp = int(rest[0]), int(rest[1])
         except ValueError as exc:
             raise UsageError(f"KP and LP must be integers: {exc}") from None
+        for name, value in (("KP", kp), ("LP", lp)):
+            if value < 0:
+                raise UsageError(
+                    f"{name} must be a nonnegative integer, got {value}")
         current = current_minimal(family, kp, lp)
         arguments = {"family": family, "kp": str(kp), "lp": str(lp)}
     else:
@@ -335,8 +339,13 @@ def main(argv=None) -> int:
         return 2
     rendered = report.to_json() if ns.format == "json" else report.to_text()
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+        try:
+            with open(ns.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {ns.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         try:
             print(rendered)

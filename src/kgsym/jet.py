@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (XYPoly, accumulate, add_terms, as_poly, clean_terms,
-                    from_terms, int_key, join_signed, monomial_str, mul_terms,
+                    from_terms, join_signed, monomial_str, mul_terms,
                     poly_coefficient, power, scalar_prefixed, scale_terms,
                     sub_terms)
 from .opalg import TDOperator
@@ -328,67 +328,6 @@ class FreeJetPoly(_JetPoly):
         return join_signed(pieces)
 
 
-class LaurentEval:
-    """Polynomial in x, y, lambda and 1/lambda over exact rationals.
-
-    Records the scalar factor left after evaluating a reduced jet polynomial
-    on the exponential solution family and dividing out the exponential."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = clean_terms(terms, Fraction, int_key)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentEval):
-            return NotImplemented
-        return from_terms(LaurentEval, add_terms(self.terms, other.terms))
-
-    def shift_lambda(self, n: int) -> "LaurentEval":
-        """Multiply by lambda^n."""
-        return from_terms(LaurentEval, {(i, j, m + n): c for (i, j, m), c
-                                        in self.terms.items()})
-
-    def diff(self, var: str) -> "LaurentEval":
-        if var == "x":
-            out = {(i - 1, j, m): c * i
-                   for (i, j, m), c in self.terms.items() if i}
-        elif var == "y":
-            out = {(i, j - 1, m): c * j
-                   for (i, j, m), c in self.terms.items() if j}
-        else:
-            raise ValueError(f"unknown variable {var!r}")
-        return from_terms(LaurentEval, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentEval):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for key, c in sorted(self.terms.items()):
-            body = monomial_str(zip(("x", "y", "L"), key))
-            pieces.append(f"{c}*{body}" if body else str(c))
-        return " + ".join(pieces)
-
-    def __repr__(self):
-        return f"LaurentEval({self})"
-
-
-def reduced_total_derivative(p: ReducedJetPoly, var: str) -> ReducedJetPoly:
-    """The reduced total derivative in x or y."""
-    return p.total_derivative(var)
-
-
 def iterated_derivative(p: ReducedJetPoly, k: int) -> ReducedJetPoly:
     """k-fold reduced x-derivative for k >= 0, (-k)-fold y-derivative else."""
     var = "x" if k >= 0 else "y"
@@ -436,11 +375,6 @@ def apply_operator_free(a: TDOperator) -> FreeJetPoly:
                                     for (p, q), c in a.terms.items()})
 
 
-def free_total_derivative(p: FreeJetPoly, var: str) -> FreeJetPoly:
-    """The full off-shell total derivative in x or y."""
-    return p.total_derivative(var)
-
-
 def euler_operator(p: FreeJetPoly) -> FreeJetPoly:
     """Euler operator: sum of (-Dx)^a (-Dy)^b applied to dp/du_(a,b).
 
@@ -473,10 +407,11 @@ def reduce(p: FreeJetPoly) -> ReducedJetPoly:
              for mono, c in p.terms.items())))
 
 
-def eval_exp_family(p: ReducedJetPoly) -> LaurentEval:
+def eval_exp_family(p: ReducedJetPoly) -> dict:
     """Evaluate on the exponential solution family with spectral parameter
     lambda (u_k picks up lambda^k) and divide out the exponential factor per
-    monomial degree, leaving an exact Laurent-polynomial scalar."""
+    monomial degree. The exact Laurent-polynomial scalar left over is
+    returned as a term map {(i, j, m): c} for c * x^i y^j lambda^m."""
     fields = p.fields()
     if len(fields) > 1:
         raise ValueError(f"polynomial mixes distinct fields: {sorted(fields)}")
@@ -485,4 +420,4 @@ def eval_exp_family(p: ReducedJetPoly) -> LaurentEval:
         weight = sum(k * e for (_, k), e in mono)
         accumulate(out, (((i, j, weight), c)
                          for (i, j), c in coeff.terms.items()))
-    return from_terms(LaurentEval, out)
+    return out

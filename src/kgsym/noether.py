@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import XYPoly, accumulate, terms_rank
-from .jet import (FieldId, F, FreeJetPoly, ReducedJetPoly, U,
+from .jet import (FieldId, F, FreeJetPoly, ReducedJetPoly, U, _field_name,
                   apply_operator_free, apply_operator_reduced, euler_operator,
                   prolonged_action, reduce, require_field_u, substituted)
-from .opalg import TDOperator, basis_op, kg_operator, monomial_op
+from .opalg import (TDOperator, basis_op, kg_operator, monomial_op,
+                    skew_self_split)
 
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
@@ -39,14 +40,11 @@ def onshell_divergence(t: ReducedJetPoly, x: ReducedJetPoly) -> ReducedJetPoly:
 class ConservedCurrent:
     """A verified conserved current (T, X) with its recorded order.
 
-    T and X are the reduced (on-shell) components; for currents constructed
-    off shell the free-jet originals are retained as well."""
+    T and X are the reduced (on-shell) components."""
     family: str
     t: ReducedJetPoly
     x: ReducedJetPoly
     order: int
-    t_free: FreeJetPoly | None = None
-    x_free: FreeJetPoly | None = None
     characteristic: ReducedJetPoly | None = None
 
     def __post_init__(self):
@@ -66,7 +64,7 @@ class ConservedCurrent:
 def current_C0(f: FieldId = F, barred: bool = False) -> ConservedCurrent:
     """First-order current attached to the superposition symmetry with a
     symbolic solution f: (f u_y, -f_x u), or the barred (-f_y u, f u_x)."""
-    name = f.name if isinstance(f, FieldId) else str(f)
+    name = _field_name(f)
     if name == "u":
         raise ValueError("the parameter field must be distinct from u")
     f0 = ReducedJetPoly.var(name, 0)
@@ -83,19 +81,16 @@ def current_C0(f: FieldId = F, barred: bool = False) -> ConservedCurrent:
 def current_Ctilde(a: TDOperator) -> ConservedCurrent:
     """Uniform current (-u Dy Q u, u_x Q u) for a skew-adjoint operator Q;
     its characteristic is 2 Q u."""
-    residue = (a + a.adjoint()).scale(Fraction(1, 2))
+    residue = skew_self_split(a)[1]
     if not residue.is_zero():
         raise ValueError(f"operator is not skew-adjoint; self-adjoint part "
                          f"is {residue}")
     au = apply_operator_free(a)
-    t_free = -FreeJetPoly.var(0, 0) * au.total_derivative("y")
-    x_free = FreeJetPoly.var(1, 0) * au
-    t = reduce(t_free)
-    x = reduce(x_free)
+    t = reduce(-FreeJetPoly.var(0, 0) * au.total_derivative("y"))
+    x = reduce(FreeJetPoly.var(1, 0) * au)
     orders = [o for o in (t.order(), x.order()) if o is not None]
     return ConservedCurrent(family="Ctilde", t=t, x=x,
                             order=max(orders) if orders else 0,
-                            t_free=t_free, x_free=x_free,
                             characteristic=apply_operator_reduced(a, U) * 2)
 
 
@@ -117,26 +112,25 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
         dx = base.total_derivative("x")
         dy = base.total_derivative("y")
         square = base * base
-        t_free = ((dy * dy) * _Y + square * _X) * sign
-        x_free = ((dx * dx) * _X + square * _Y) * -sign
+        t_off = ((dy * dy) * _Y + square * _X) * sign
+        x_off = ((dx * dx) * _X + square * _Y) * -sign
         char_op = monomial_op(side, 2 * kp + 1, 2 * lp, -sign * lp)
     elif family == "C2":
         base = apply_operator_free(monomial_op("X", kp, lp, -half))
         dx = base.total_derivative("x")
-        t_free = -(base * base)
-        x_free = dx * dx
+        t_off = -(base * base)
+        x_off = dx * dx
         char_op = basis_op("Q", 2 * kp, 2 * lp + 1)
     elif family == "C2bar":
         base = apply_operator_free(monomial_op("Y", kp, lp, half))
         dy = base.total_derivative("y")
-        t_free = dy * dy
-        x_free = -(base * base)
+        t_off = dy * dy
+        x_off = -(base * base)
         char_op = basis_op("Qbar", 2 * kp, 2 * lp + 1)
     else:
         raise ValueError(f"unknown minimal-current family {family!r}")
-    return ConservedCurrent(family=family, t=reduce(t_free), x=reduce(x_free),
+    return ConservedCurrent(family=family, t=reduce(t_off), x=reduce(x_off),
                             order=kp + lp + 1,
-                            t_free=t_free, x_free=x_free,
                             characteristic=apply_operator_reduced(char_op, U))
 
 

@@ -182,33 +182,8 @@ class TDOperator:
         return f"TDOperator({self})"
 
 
-def generator(name: str, poly=None) -> TDOperator:
-    """Named generator: DX, DY, J, ONE, or MUL with a polynomial argument."""
-    if name == "DX":
-        return TDOperator.dx()
-    if name == "DY":
-        return TDOperator.dy()
-    if name == "J":
-        return TDOperator.j()
-    if name == "ONE":
-        return TDOperator.identity()
-    if name == "MUL":
-        if poly is None:
-            raise ValueError("MUL requires a polynomial argument")
-        return TDOperator.mul_by(poly)
-    raise ValueError(f"unknown generator {name!r}")
-
-
-def compose(a: TDOperator, b: TDOperator) -> TDOperator:
-    return a.compose(b)
-
-
 def commutator(a: TDOperator, b: TDOperator) -> TDOperator:
     return a.compose(b) - b.compose(a)
-
-
-def adjoint(a: TDOperator) -> TDOperator:
-    return a.adjoint()
 
 
 def kg_operator() -> TDOperator:

@@ -31,6 +31,10 @@ _SYMBOLS = "+-*^()[]/"
 # recursion limit; deeper input is a ParseError.
 MAX_NESTING = 100
 
+# Largest exponent accepted after ^. A power is computed by repeated
+# multiplication, so this bounds the number of products one ^ can ask for.
+MAX_EXPONENT = 1000
+
 
 def _tokenize(text: str):
     tokens = []
@@ -121,7 +125,11 @@ class _Parser:
             if tok[0] == "-":
                 raise ParseError("negative exponents are not allowed", tok[2])
             tok = self.expect("INT")
-            value = value ** int(tok[1])
+            exponent = int(tok[1])
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} exceeds the bound "
+                                 f"{MAX_EXPONENT}", tok[2])
+            value = value ** exponent
         return value
 
     def rational(self, first) -> Fraction:

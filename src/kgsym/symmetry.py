@@ -162,5 +162,5 @@ def independence_rank(basis) -> int:
         if not eta.is_linear():
             raise ValueError("independence test expects characteristics "
                              "linear in the jets")
-        evals.append(eval_exp_family(eta).terms)
+        evals.append(eval_exp_family(eta))
     return terms_rank(evals)

@@ -149,6 +149,17 @@ def test_out_file(tmp_path, capsys):
     assert payload["command"] == "dims"
 
 
+def test_out_file_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, "--out", str(target),
+                             "dims", "--max-order", "1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
 def test_verify_all_small_and_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "--format", "json",
                              "verify-all", "--max-order", "2")
@@ -184,6 +195,8 @@ def test_adjoint_of_high_order_operator(capsys):
     (["basis", "--order", "-2"], "--order"),
     (["basis", "--order", "-3", "--degree", "-5"], "--order"),
     (["basis", "--order", "1", "--degree", "-1"], "--degree"),
+    (["current", "C2", "-1", "0"], "KP"),
+    (["current", "C1bar", "0", "-2"], "LP"),
 ])
 def test_negative_integer_arguments_rejected(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
@@ -199,6 +212,14 @@ def test_deeply_nested_parentheses_rejected(capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: ") and "position 100" in err
+
+
+def test_exponent_bound_rejected(capsys):
+    code, out, err = run_cli(capsys, "adjoint", "J^3000")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "1000" in err and "position 2" in err
 
 
 @pytest.mark.parametrize("signs, expected", [

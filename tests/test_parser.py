@@ -8,7 +8,8 @@ import pytest
 from kgsym.arith import XYPoly
 from kgsym.jet import ReducedJetPoly, reduced_J
 from kgsym.opalg import TDOperator, basis_op, kg_operator
-from kgsym.parser import MAX_NESTING, ParseError, parse_jet, parse_operator
+from kgsym.parser import (MAX_EXPONENT, MAX_NESTING, ParseError, parse_jet,
+                          parse_operator)
 from kgsym.verify import random_operator, random_reduced_jet
 
 
@@ -70,6 +71,18 @@ def test_parenthesis_nesting_bound():
     with pytest.raises(ParseError) as excinfo:
         parse_jet("(" + deepest + ")")
     assert excinfo.value.position == MAX_NESTING
+
+
+def test_exponent_bound():
+    assert parse_operator(f"Dx^{MAX_EXPONENT}") == TDOperator(
+        {(MAX_EXPONENT, 0): XYPoly.one()})
+    with pytest.raises(ParseError) as excinfo:
+        parse_operator(f"Dx^{MAX_EXPONENT + 1}")
+    assert str(MAX_EXPONENT) in str(excinfo.value)
+    assert excinfo.value.position == 3
+    with pytest.raises(ParseError) as excinfo:
+        parse_jet("u[0] * (x + 1)^99999999999999999999")
+    assert excinfo.value.position == 15
 
 
 def test_trailing_input_rejected():

@@ -1,5 +1,6 @@
 """Independent checks in sympy: operator composition and the formal adjoint
-are applied to a generic function g(x, y), and the exact kernel and rank are
+are applied to a generic function g(x, y), the Euler operator is compared
+with sympy's Euler-Lagrange equations, and the exact kernel and rank are
 compared with sympy's own on random sparse rational matrices."""
 
 import random
@@ -8,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from kgsym.arith import RationalMatrix, nullspace, rank
-from kgsym.verify import random_operator
+from kgsym.jet import FreeJetPoly, euler_operator
+from kgsym.verify import random_operator, random_xypoly
 
 sympy = pytest.importorskip("sympy")
 
@@ -47,6 +49,37 @@ def test_compose_matches_sympy(seed):
 def test_adjoint_matches_sympy(seed):
     a = random_operator(random.Random(1000 + seed), max_order=4)
     assert sympy.expand(_apply(a.adjoint(), g) - _adjoint_applied(a, g)) == 0
+
+
+def _free_jet(p):
+    """The free jet polynomial p with u_(a,b) read as d^a/dx^a d^b/dy^b g."""
+    return sum((_poly(c) * sympy.Mul(*(sympy.diff(g, x, a, y, b) ** e
+                                       for (a, b), e in mono))
+                for mono, c in p.terms.items()), sympy.Integer(0))
+
+
+def _random_lagrangian(rng):
+    """Up to four monomials of jet degree 1 to 3 in u_(a,b), a + b <= 3;
+    the first factor of the first monomial is a mixed derivative."""
+    terms = {}
+    for n in range(rng.randint(1, 4)):
+        exps = {}
+        for m in range(rng.randint(1, 3)):
+            low = 1 if n == m == 0 else 0
+            a = rng.randint(low, 2)
+            b = rng.randint(low, 3 - a)
+            exps[(a, b)] = exps.get((a, b), 0) + 1
+        terms[tuple(sorted(exps.items()))] = random_xypoly(rng,
+                                                           allow_zero=False)
+    return FreeJetPoly(terms)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_euler_operator_matches_sympy(seed):
+    lagrangian = _random_lagrangian(random.Random(2000 + seed))
+    (equation,) = sympy.euler_equations(_free_jet(lagrangian), g, [x, y])
+    expected = equation.lhs - equation.rhs
+    assert sympy.expand(_free_jet(euler_operator(lagrangian)) - expected) == 0
 
 
 def _sparse_rows(rng, rows, cols, density=0.3):
