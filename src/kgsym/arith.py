@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rational scalars, sparse bivariate polynomials
-in x and y, and exact rational linear algebra (nullspace, rank).
+in x and y, and exact rational linear algebra (nullspace, sparse_kernel, rank).
 
 Everything here is exact; no floating point is used anywhere in the package.
 """
@@ -399,3 +399,37 @@ def terms_rank(rows) -> int:
         return 0
     return rank(RationalMatrix.from_rows(
         [[terms.get(key, 0) for key in keys] for terms in rows]))
+
+
+def sparse_kernel(images):
+    """Reduced-echelon kernel basis of the linear map sending unknown c to
+    the term map images[c], as {c: value} vectors in ascending c.
+
+    Unknowns linked through shared keys form one connected component. The
+    matrix is block diagonal over the components, with their pivots, so
+    their kernels, one nullspace call each, ordered by free column (a
+    vector's largest index), are the kernel basis of the whole map."""
+    root = list(range(len(images)))
+
+    def find(c):
+        while root[c] != c:
+            root[c] = c = root[root[c]]
+        return c
+
+    first = {}                  # key -> the first unknown that reaches it
+    for c, terms in enumerate(images):
+        for key in terms:
+            root[find(c)] = find(first.setdefault(key, c))
+    components = {}
+    for c in range(len(images)):
+        components.setdefault(find(c), []).append(c)
+    kernel = []
+    for cols in components.values():
+        keys = dict.fromkeys(key for c in cols for key in images[c])
+        matrix = RationalMatrix(len(keys), len(cols),
+                                [[images[c].get(key, 0) for c in cols]
+                                 for key in keys])
+        kernel.extend({cols[i]: v for i, v in enumerate(vec) if v}
+                      for vec in nullspace(matrix))
+    kernel.sort(key=max)
+    return kernel

@@ -17,8 +17,8 @@ import sys
 from dataclasses import dataclass, field
 
 from . import verify
-from .noether import (current_C0, current_Ctilde, current_minimal,
-                      is_variational_linear)
+from .noether import (MINIMAL_FAMILIES, current_C0, current_Ctilde,
+                      current_minimal, is_variational_linear)
 from .opalg import basis_op, commutator
 from .parser import ParseError, parse_jet, parse_operator
 from .symmetry import (dimension_table, is_generalized_symmetry,
@@ -206,7 +206,7 @@ def _cmd_current(args: dict) -> Report:
         op = parse_operator(rest[0])
         current = current_Ctilde(op)
         arguments = {"family": "Ctilde", "operator": rest[0]}
-    elif family in ("C1", "C1bar", "C2", "C2bar"):
+    elif family in MINIMAL_FAMILIES:
         if len(rest) != 2:
             raise UsageError(f"current {family} needs KP and LP")
         try:
@@ -312,7 +312,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("current", help="construct a verified conserved current")
     p.add_argument("family",
-                   choices=("C0", "Ctilde", "C1", "C1bar", "C2", "C2bar"))
+                   choices=("C0", "Ctilde", *MINIMAL_FAMILIES))
     p.add_argument("rest", nargs="*",
                    help="KP LP for minimal families, an operator expression "
                         "for Ctilde, optionally 'barred' for C0")

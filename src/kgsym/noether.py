@@ -21,7 +21,8 @@ from .opalg import (TDOperator, basis_op, kg_operator, monomial_op,
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
 
-CURRENT_FAMILIES = ("C0", "Ctilde", "C1", "C1bar", "C2", "C2bar", "GEN")
+MINIMAL_FAMILIES = ("C1", "C1bar", "C2", "C2bar")
+CURRENT_FAMILIES = ("C0", "Ctilde", *MINIMAL_FAMILIES, "GEN")
 
 
 def is_variational_linear(a: TDOperator) -> bool:
@@ -190,10 +191,10 @@ def symmetry_action_on_current(eta: ReducedJetPoly,
 def minimal_family_members(n: int):
     """The (family, kp, lp) triples of order-n minimal currents, in
     (family, kp, lp) lexicographic order."""
-    if n < 2:
-        raise ValueError("enumeration is defined for order n >= 2")
+    if n < 1:
+        raise ValueError("enumeration is defined for order n >= 1")
     members = []
-    for family in ("C1", "C1bar", "C2", "C2bar"):
+    for family in MINIMAL_FAMILIES:
         for kp in range(n):
             lp = n - 1 - kp
             if family == "C1" and lp < 1:

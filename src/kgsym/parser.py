@@ -35,6 +35,18 @@ MAX_NESTING = 100
 # multiplication, so this bounds the number of products one ^ can ask for.
 MAX_EXPONENT = 1000
 
+# Most digits accepted in one integer, below the interpreter's own limit on
+# int() (4300 by default), whose error would name no input position. _int is
+# the one place where an INT token becomes an int.
+MAX_DIGITS = 4000
+
+
+def _int(tok) -> int:
+    if len(tok[1]) > MAX_DIGITS:
+        raise ParseError(f"integer of {len(tok[1])} digits exceeds the bound "
+                         f"{MAX_DIGITS}", tok[2])
+    return int(tok[1])
+
 
 def _tokenize(text: str):
     tokens = []
@@ -125,7 +137,7 @@ class _Parser:
             if tok[0] == "-":
                 raise ParseError("negative exponents are not allowed", tok[2])
             tok = self.expect("INT")
-            exponent = int(tok[1])
+            exponent = _int(tok)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds the bound "
                                  f"{MAX_EXPONENT}", tok[2])
@@ -133,13 +145,14 @@ class _Parser:
         return value
 
     def rational(self, first) -> Fraction:
-        value = Fraction(int(first[1]))
+        value = Fraction(_int(first))
         if self.peek()[0] == "/":
             self.advance()
-            den = self.expect("INT")
-            if int(den[1]) == 0:
-                raise ParseError("zero denominator", den[2])
-            value = Fraction(value, int(den[1]))
+            tok = self.expect("INT")
+            den = _int(tok)
+            if den == 0:
+                raise ParseError("zero denominator", tok[2])
+            value = Fraction(value, den)
         return value
 
     def primary(self):
@@ -195,9 +208,9 @@ class _JetParser(_Parser):
                 if self.peek()[0] == "-":
                     self.advance()
                     sign = -1
-                index = self.expect("INT")
+                index = _int(self.expect("INT"))
                 self.expect("]")
-                return ReducedJetPoly.var(value, sign * int(index[1]))
+                return ReducedJetPoly.var(value, sign * index)
             raise ParseError(f"unknown jet atom {value!r}", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
 

@@ -15,8 +15,8 @@ from .arith import XYPoly
 from .jet import ReducedJetPoly, apply_operator_reduced, reduced_J
 from .noether import (current_C0, current_Ctilde, current_minimal,
                       is_cl_characteristic, is_variational_linear,
-                      lift_linear_characteristic, onshell_divergence,
-                      symmetry_action_on_current)
+                      lift_linear_characteristic, minimal_family_members,
+                      onshell_divergence, symmetry_action_on_current)
 from .opalg import TDOperator, basis_op, commutator, kg_operator, monomial_op
 from .parser import parse_jet, parse_operator
 from .symmetry import (dimension_table, independence_rank, reduced_bracket,
@@ -188,14 +188,10 @@ def check_conservation() -> CheckResult:
     for kind, k, l, op in _skew_basis_ops(5):
         current = current_Ctilde(op)
         recheck(f"Ctilde({kind}[{k},{l}])", current, current.order)
-    for total in range(4):
-        for kp in range(total + 1):
-            lp = total - kp
-            for family in ("C1", "C1bar", "C2", "C2bar"):
-                if family == "C1" and lp < 1:
-                    continue
-                recheck(f"{family}[{kp},{lp}]",
-                        current_minimal(family, kp, lp), kp + lp + 1)
+    for n in range(1, 5):
+        for family, kp, lp in minimal_family_members(n):
+            recheck(f"{family}[{kp},{lp}]",
+                    current_minimal(family, kp, lp), n)
     return _checked("conservation", failures, f"{count} currents verified")
 
 

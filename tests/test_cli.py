@@ -222,6 +222,17 @@ def test_exponent_bound_rejected(capsys):
     assert err.startswith("error: ") and "1000" in err and "position 2" in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("adjoint", "Dx^{}"), ("adjoint", "{}*Dx"), ("check-symmetry", "u[{}]")])
+def test_long_integer_rejected(capsys, command, text):
+    code, out, err = run_cli(capsys, command, text.format("9" * 5000))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "5000 digits" in err
+    assert "position" in err and "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize("signs, expected", [
     ("-" * 1500, "x"), ("+" * 1500, "x"), ("-" * 1501, "-x")])
 def test_long_sign_runs_parse(capsys, signs, expected):

@@ -238,8 +238,10 @@ def test_family_enumeration():
     assert minimal_family_members(2) == [
         ("C1", 0, 1), ("C1bar", 0, 1), ("C1bar", 1, 0),
         ("C2", 0, 1), ("C2", 1, 0), ("C2bar", 0, 1), ("C2bar", 1, 0)]
+    assert minimal_family_members(1) == [
+        ("C1bar", 0, 0), ("C2", 0, 0), ("C2bar", 0, 0)]
     with pytest.raises(ValueError):
-        minimal_family_members(1)
+        minimal_family_members(0)
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -8,8 +8,8 @@ import pytest
 from kgsym.arith import XYPoly
 from kgsym.jet import ReducedJetPoly, reduced_J
 from kgsym.opalg import TDOperator, basis_op, kg_operator
-from kgsym.parser import (MAX_EXPONENT, MAX_NESTING, ParseError, parse_jet,
-                          parse_operator)
+from kgsym.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, ParseError,
+                          parse_jet, parse_operator)
 from kgsym.verify import random_operator, random_reduced_jet
 
 
@@ -83,6 +83,22 @@ def test_exponent_bound():
     with pytest.raises(ParseError) as excinfo:
         parse_jet("u[0] * (x + 1)^99999999999999999999")
     assert excinfo.value.position == 15
+
+
+def test_integer_digit_bound():
+    nines = "9" * MAX_DIGITS
+    assert parse_operator(f"x*{nines}") == TDOperator.mul_by(
+        XYPoly({(1, 0): int(nines)}))
+    too_long = "9" * 5000
+    for parse, text, position in ((parse_operator, f"Dx^{too_long}", 3),
+                                  (parse_operator, f"x*{too_long}", 2),
+                                  (parse_operator, f"1/{too_long}", 2),
+                                  (parse_jet, f"u[-{too_long}]", 3)):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert excinfo.value.position == position
+        assert "5000 digits" in str(excinfo.value)
+        assert str(MAX_DIGITS) in str(excinfo.value)
 
 
 def test_trailing_input_rejected():

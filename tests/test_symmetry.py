@@ -1,10 +1,11 @@
 """Tests for the symmetry criterion, the determining solver and the bracket."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from kgsym.arith import RationalMatrix, XYPoly, nullspace
+from kgsym.arith import RationalMatrix, XYPoly, nullspace, sparse_kernel
 from kgsym.jet import ReducedJetPoly, apply_operator_reduced, reduced_J
 from kgsym.opalg import monomial_op
 from kgsym.symmetry import (DeterminingSystem, graded_dimension,
@@ -50,16 +51,16 @@ def test_determining_system_shape():
     system = DeterminingSystem.assemble(1, 3)
     # 3 coefficient functions with 10 monomials each
     assert len(system.unknowns) == 30
-    assert sum(matrix.cols for _, matrix in system.blocks) == 30
+    assert len(system.images) == 30
 
 
 def _dense_rows(n, d):
-    """The determining equations expanded directly: one {unknown: value}
-    row per equation, from the coefficient of x^a y^b in
+    """The determining equations expanded directly: {(k, a, b): row}, one
+    {unknown: value} row per equation, from the coefficient of x^a y^b in
     eta^k_xy + eta^(k-1)_y + eta^(k+1)_x."""
     unknowns = {(k, i, j) for k in range(-n, n + 1)
                 for i in range(d + 1) for j in range(d + 1 - i)}
-    rows = []
+    rows = {}
     for k in range(-n - 1, n + 2):
         for a in range(d + 1):
             for b in range(d + 1 - a):
@@ -70,7 +71,7 @@ def _dense_rows(n, d):
                     if unknown in unknowns:
                         row[unknown] = value
                 if row:
-                    rows.append(row)
+                    rows[(k, a, b)] = row
     return rows
 
 
@@ -79,54 +80,85 @@ def _weight(unknown):
     return i - j - k
 
 
-def _global_rows(system):
-    """Every block row as {unknown: value} over the global unknowns."""
-    return [{system.unknowns[cols[c]]: v for c, v in enumerate(row) if v}
-            for cols, matrix in system.blocks for row in matrix.entries]
-
-
 @pytest.mark.parametrize("n", range(5))
 def test_determining_rows_have_one_weight(n):
+    """The images, read by equation, are the determining equations, and
+    each equation is reached from unknowns of one weight i - j - k only:
+    the dilation x -> lambda x, y -> y / lambda grades the system."""
     for d in range(n + 3):
         system = DeterminingSystem.assemble(n, d)
-        for cols, _ in system.blocks:
-            assert len({_weight(system.unknowns[c]) for c in cols}) == 1
-        dense = _dense_rows(n, d)
-        for row in dense:
+        rows = {}
+        for unknown, image in zip(system.unknowns, system.images):
+            for key, value in image.items():
+                rows.setdefault(key, {})[unknown] = value
+        assert rows == _dense_rows(n, d)
+        for row in rows.values():
             assert len({_weight(unknown) for unknown in row}) == 1
-        key = lambda row: sorted(row.items())
-        assert sorted(map(key, _global_rows(system))) == sorted(map(key, dense))
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_determining_blocks_partition_columns(n):
-    for d in range(n + 3):
-        system = DeterminingSystem.assemble(n, d)
-        cols = [c for block_cols, _ in system.blocks for c in block_cols]
-        assert sorted(cols) == list(range(len(system.unknowns)))
-        for block_cols, matrix in system.blocks:
-            assert block_cols == sorted(block_cols)
-            assert matrix.cols == len(block_cols)
+def _dense_kernel(images):
+    """nullspace of the whole matrix built from the images, one row per
+    key, as sparse {column: value} vectors."""
+    keys = sorted({key for image in images for key in image})
+    entries = [[image.get(key, 0) for image in images] for key in keys]
+    matrix = RationalMatrix(len(keys), len(images), entries)
+    return [{c: v for c, v in enumerate(vec) if v} for vec in nullspace(matrix)]
 
 
 @pytest.mark.parametrize("n, d", [(1, 3), (2, 4), (3, 5), (0, 8)])
 def test_blocked_solve_equals_dense_kernel(n, d):
     system = DeterminingSystem.assemble(n, d)
-    width = len(system.unknowns)
-    entries = []
-    for cols, matrix in system.blocks:
-        for row in matrix.entries:
-            full = [0] * width
-            for c, v in enumerate(row):
-                full[cols[c]] = v
-            entries.append(full)
+    kernel = sparse_kernel(system.images)
+    assert kernel == _dense_kernel(system.images)
     expected = []
-    for vec in nullspace(RationalMatrix(len(entries), width, entries)):
+    for vec in kernel:
         eta = ReducedJetPoly.zero()
-        for col, (k, i, j) in enumerate(system.unknowns):
-            eta = eta + u(k) * XYPoly({(i, j): vec[col]})
+        for col, value in vec.items():
+            k, i, j = system.unknowns[col]
+            eta = eta + u(k) * XYPoly({(i, j): value})
         expected.append(eta)
-    assert system.solve().elements == expected
+    assert list(system.solve().elements) == expected
+
+
+def _random_map(rng, width, keys, dense=False):
+    """images of a random map: empty images and duplicate columns mixed in,
+    unless dense, where every unknown reaches every key."""
+    images = []
+    for _ in range(width):
+        roll = rng.random()
+        if images and roll < 0.15:
+            images.append(dict(rng.choice(images)))
+        elif roll < 0.3 and not dense:
+            images.append({})
+        else:
+            support = (range(keys) if dense
+                       else rng.sample(range(keys), rng.randint(1, min(2, keys))))
+            images.append({key: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                         rng.randint(1, 4))
+                           for key in support})
+    return images
+
+
+SPARSE_MAPS = {
+    # unknown c reaches keys c and c + 1: one block chained through all keys
+    "chain": [{c: 1, c + 1: -1} for c in range(8)] + [{0: 1, 8: -1}],
+    "empty": [{}, {}, {3: 2}, {}],
+    "duplicates": [{5: 1, 0: 2}, {2: 1}, {5: 1, 0: 2}, {2: 1}, {5: 1, 0: 2}],
+    "dense": _random_map(random.Random(7), 9, 6, dense=True),
+    **{f"random{seed}": _random_map(random.Random(seed),
+                                    random.Random(seed).randint(1, 25),
+                                    random.Random(seed + 100).randint(1, 30))
+       for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("name", SPARSE_MAPS)
+def test_sparse_kernel_equals_dense_kernel(name):
+    images = SPARSE_MAPS[name]
+    kernel = sparse_kernel(images)
+    assert kernel == _dense_kernel(images)
+    for vec in kernel:
+        assert list(vec) == sorted(vec)
 
 
 @pytest.mark.parametrize("n", range(6))
