@@ -102,7 +102,8 @@ def _dense_kernel(images):
     keys = sorted({key for image in images for key in image})
     entries = [[image.get(key, 0) for image in images] for key in keys]
     matrix = RationalMatrix(len(keys), len(images), entries)
-    return [{c: v for c, v in enumerate(vec) if v} for vec in nullspace(matrix)]
+    return [{c: v for c, v in enumerate(vec) if v}
+            for vec in nullspace(matrix)]
 
 
 @pytest.mark.parametrize("n, d", [(1, 3), (2, 4), (3, 5), (0, 8)])
@@ -120,9 +121,11 @@ def test_blocked_solve_equals_dense_kernel(n, d):
     assert list(system.solve().elements) == expected
 
 
-def _random_map(rng, width, keys, dense=False):
-    """images of a random map: empty images and duplicate columns mixed in,
-    unless dense, where every unknown reaches every key."""
+def _random_map(seed, dense=False):
+    """images of a seeded random map: empty images and duplicate columns
+    mixed in, unless dense, where each of 9 unknowns reaches all 6 keys."""
+    rng = random.Random(seed)
+    width, keys = (9, 6) if dense else (rng.randint(1, 25), rng.randint(1, 30))
     images = []
     for _ in range(width):
         roll = rng.random()
@@ -131,8 +134,8 @@ def _random_map(rng, width, keys, dense=False):
         elif roll < 0.3 and not dense:
             images.append({})
         else:
-            support = (range(keys) if dense
-                       else rng.sample(range(keys), rng.randint(1, min(2, keys))))
+            size = keys if dense else rng.randint(1, min(2, keys))
+            support = rng.sample(range(keys), size)
             images.append({key: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
                                          rng.randint(1, 4))
                            for key in support})
@@ -144,11 +147,8 @@ SPARSE_MAPS = {
     "chain": [{c: 1, c + 1: -1} for c in range(8)] + [{0: 1, 8: -1}],
     "empty": [{}, {}, {3: 2}, {}],
     "duplicates": [{5: 1, 0: 2}, {2: 1}, {5: 1, 0: 2}, {2: 1}, {5: 1, 0: 2}],
-    "dense": _random_map(random.Random(7), 9, 6, dense=True),
-    **{f"random{seed}": _random_map(random.Random(seed),
-                                    random.Random(seed).randint(1, 25),
-                                    random.Random(seed + 100).randint(1, 30))
-       for seed in range(12)},
+    "dense": _random_map(7, dense=True),
+    **{f"random{seed}": _random_map(seed) for seed in range(12)},
 }
 
 
