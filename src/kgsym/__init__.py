@@ -3,9 +3,9 @@ symmetries and local conservation laws of the light-cone Klein-Gordon
 equation u_xy = u. All arithmetic is exact rational."""
 
 from .arith import Rational, RationalMatrix, XYPoly, nullspace, rank
-from .jet import (F, FieldId, FreeJetPoly, ReducedJetPoly, U,
-                  apply_operator_free, apply_operator_reduced, eval_exp_family,
-                  euler_operator, iterated_derivative, reduce, reduced_J)
+from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
+                  apply_operator_reduced, eval_exp_family, euler_operator,
+                  iterated_derivative, reduce, reduced_J)
 from .noether import (ConservedCurrent, CurrentCandidate, count_order_n_currents,
                       current_C0, current_Ctilde, current_minimal,
                       is_cl_characteristic, is_variational_linear,

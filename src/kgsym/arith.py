@@ -6,6 +6,7 @@ Everything here is exact; no floating point is used anywhere in the package.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -90,13 +91,24 @@ def monomial_str(powers) -> str:
                     for name, e in powers if e)
 
 
+def _rational_str(c) -> str:
+    """The text of the rational c; ValueError when its numerator or
+    denominator has more digits than the interpreter will print."""
+    try:
+        return str(c)
+    except ValueError:
+        raise ValueError(
+            "result has a coefficient too large to print (more than "
+            f"{sys.get_int_max_str_digits()} digits)") from None
+
+
 def scalar_prefixed(c, body: str) -> str:
     """Print the rational c times the printed product body."""
     if c == 1:
         return body
     if c == -1:
         return "-" + body
-    return f"{c}*{body}"
+    return f"{_rational_str(c)}*{body}"
 
 
 def clean_terms(terms, coerce, normalize):
@@ -265,7 +277,7 @@ def poly_coefficient(value) -> XYPoly:
 
 def _poly_term_str(key, coeff) -> str:
     body = monomial_str(zip("xy", key))
-    return scalar_prefixed(coeff, body) if body else str(coeff)
+    return scalar_prefixed(coeff, body) if body else _rational_str(coeff)
 
 
 class RationalMatrix:
@@ -393,12 +405,9 @@ def rank(m: RationalMatrix) -> int:
 
 def terms_rank(rows) -> int:
     """Exact rank of term maps read as the rows of a matrix over the union
-    of their keys; 0 when no key occurs."""
-    keys = sorted({key for terms in rows for key in terms})
-    if not keys:
-        return 0
-    return rank(RationalMatrix.from_rows(
-        [[terms.get(key, 0) for key in keys] for terms in rows]))
+    of their keys: their number less that of independent linear relations
+    among them."""
+    return len(rows) - len(sparse_kernel(rows))
 
 
 def sparse_kernel(images):

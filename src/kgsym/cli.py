@@ -96,8 +96,6 @@ def _result_lines(result: dict):
             status = "PASS" if check["passed"] else "FAIL"
             yield f"{status}  {check['name']}: {check['detail']}"
         yield f"all passed: {str(result['all_passed']).lower()}"
-    else:
-        yield json.dumps(result)
 
 
 def _nonnegative(args: dict, key: str) -> int:

@@ -10,8 +10,8 @@ on-shell reduction morphism connect the two pictures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .arith import (XYPoly, accumulate, add_terms, as_poly, clean_terms,
                     from_terms, join_signed, monomial_str, mul_terms,
@@ -23,36 +23,9 @@ _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
 
 
-@dataclass(frozen=True)
-class FieldId:
-    """A dependent variable; every declared field satisfies w_xy = w on shell."""
-    name: str
-
-
-U = FieldId("u")
-F = FieldId("f")
-
-
-def _field_name(field) -> str:
-    return field.name if isinstance(field, FieldId) else str(field)
-
-
-def _mono_mul(m1, m2):
-    exps = dict(m1)
-    for var, e in m2:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def _lowered(mono, var, e):
-    """The exponents of mono, in which var has exponent e >= 1, with that of
-    var lowered by one."""
-    exps = dict(mono)
-    if e == 1:
-        del exps[var]
-    else:
-        exps[var] = e - 1
-    return exps
+def _powers(variables):
+    """(variable, exponent) for each run of equal variables, in order."""
+    return [(v, len(list(run))) for v, run in groupby(variables)]
 
 
 # Index shifts of the total derivatives, applied by the chain rule to each
@@ -86,7 +59,8 @@ def _ring(p, other, combine):
 def _times(p, other):
     """p * other for another polynomial of p's class, or a coefficient."""
     if isinstance(other, type(p)):
-        terms = mul_terms(p.terms, other.terms, _mono_mul)
+        terms = mul_terms(p.terms, other.terms,
+                          lambda m1, m2: tuple(sorted(m1 + m2)))
     elif isinstance(other, (XYPoly, int, Fraction)):
         terms = scale_terms(p.terms, other)
     else:
@@ -98,10 +72,10 @@ def _partial(p, var):
     """Partial derivative of p with respect to the jet variable var."""
     out = {}
     for mono, coeff in p.terms.items():
-        e = dict(mono).get(var)
+        e = mono.count(var)
         if e:
-            out[tuple(sorted(_lowered(mono, var, e).items()))] = (
-                coeff if e == 1 else coeff * e)
+            i = mono.index(var)
+            out[mono[:i] + mono[i + 1:]] = coeff if e == 1 else coeff * e
     return from_terms(type(p), out)
 
 
@@ -120,19 +94,18 @@ def _chain_rule(terms, var, shift):
         dc = coeff.diff(var)
         if dc:
             yield mono, dc
-        for v, e in mono:
-            exps = _lowered(mono, v, e)
-            w = shift(v)
-            exps[w] = exps.get(w, 0) + 1
-            yield tuple(sorted(exps.items())), coeff if e == 1 else coeff * e
+        for i, v in enumerate(mono):
+            yield tuple(sorted(mono[:i] + (shift(v),) + mono[i + 1:])), coeff
 
 
 class _JetPoly:
     """Members shared by the two jet polynomial classes.
 
-    Terms map monomials, sorted tuples of (jet variable, exponent) pairs, to
-    nonzero XYPoly coefficients. The ring operations, partial,
-    total_derivative and __str__ are own members of each class."""
+    Terms map monomials to nonzero XYPoly coefficients. A monomial is the
+    sorted tuple of its jet variables, each repeated as often as its
+    exponent says; the empty tuple is the constant monomial. The ring
+    operations, partial, total_derivative and __str__ are own members of
+    each class."""
 
     __slots__ = ("terms",)
 
@@ -156,7 +129,7 @@ class _JetPoly:
         return not self.terms
 
     def jet_variables(self):
-        return {var for mono in self.terms for (var, _) in mono}
+        return {var for mono in self.terms for var in mono}
 
     def __eq__(self, other):
         terms = _jet_terms(type(self), other)
@@ -177,21 +150,21 @@ class _JetPoly:
 class ReducedJetPoly(_JetPoly):
     """Differential polynomial in on-shell jet coordinates w_k, k in Z.
 
-    Terms map monomials in the jet variables (tuples of ((field, k), exp))
-    to nonzero XYPoly coefficients. Several fields may appear; all of them
-    satisfy the same on-shell relation.
+    A jet variable is a pair (field, k) of a field name such as "u" or "f"
+    and an index, so u[0]^2*u[1] is the monomial (("u", 0), ("u", 0),
+    ("u", 1)). Several fields may appear; all of them satisfy the same
+    on-shell relation.
     """
 
     __slots__ = ()
 
     @classmethod
-    def var(cls, field, k: int) -> "ReducedJetPoly":
-        """The single jet coordinate w_k of the given field."""
-        name = _field_name(field)
-        return cls({(((name, int(k)), 1),): XYPoly.one()})
+    def var(cls, field: str, k: int) -> "ReducedJetPoly":
+        """The single jet coordinate w_k of the field named field."""
+        return cls({((field, int(k)),): XYPoly.one()})
 
     def fields(self):
-        return {name for mono in self.terms for ((name, _), _) in mono}
+        return {name for mono in self.terms for name, _ in mono}
 
     def order(self):
         """Max |k| over appearing jet variables; None when coefficient-only."""
@@ -200,14 +173,14 @@ class ReducedJetPoly(_JetPoly):
 
     def is_linear(self) -> bool:
         """Linear and homogeneous in the jet variables."""
-        return all(sum(e for _, e in mono) == 1 for mono in self.terms)
+        return all(len(mono) == 1 for mono in self.terms)
 
     def coefficient(self, mono) -> XYPoly:
         return self.terms.get(tuple(sorted(mono)), XYPoly.zero())
 
-    def partial(self, field, k: int) -> "ReducedJetPoly":
+    def partial(self, field: str, k: int) -> "ReducedJetPoly":
         """Partial derivative with respect to the jet variable (field, k)."""
-        return _partial(self, (_field_name(field), int(k)))
+        return _partial(self, (field, int(k)))
 
     def total_derivative(self, var: str) -> "ReducedJetPoly":
         """Reduced total derivative: coefficient derivative plus the index
@@ -239,23 +212,24 @@ class ReducedJetPoly(_JetPoly):
     def sorted_terms(self):
         """Canonical display order: jet degree descending, then by field name
         and descending index inside each degree block."""
-        def mono_key(mono):
-            return tuple((name, -k, e) for (name, k), e in
-                         sorted(mono, key=lambda ve: (ve[0][0], -ve[0][1])))
         return sorted(self.terms.items(),
-                      key=lambda kv: (-sum(e for _, e in kv[0]),
-                                      mono_key(kv[0])))
+                      key=lambda kv: (-len(kv[0]), _display_powers(kv[0])))
 
     def __str__(self):
         if not self.terms:
             return "0"
         pieces = []
         for mono, coeff in self.sorted_terms():
-            body = monomial_str(
-                (f"{name}[{k}]", e) for (name, k), e in
-                sorted(mono, key=lambda ve: (ve[0][0], -ve[0][1])))
+            body = monomial_str((f"{name}[{-minus_k}]", e)
+                                for (name, minus_k), e in _display_powers(mono))
             pieces.append(_coeff_prefixed(coeff, body))
         return join_signed(pieces)
+
+
+def _display_powers(mono):
+    """((field, -k), exponent) for each jet variable (field, k) of mono, by
+    field name, then descending index."""
+    return _powers(sorted((name, -k) for name, k in mono))
 
 
 def _coeff_prefixed(coeff: XYPoly, body: str) -> str:
@@ -271,7 +245,8 @@ def _coeff_prefixed(coeff: XYPoly, body: str) -> str:
 class FreeJetPoly(_JetPoly):
     """Differential polynomial in the off-shell coordinates u_(a,b), a,b >= 0.
 
-    Only the field u lives off shell; coefficients are XYPoly.
+    Only the field u lives off shell, so a jet variable is the pair (a, b):
+    u(1,0)*u(0,2) is the monomial ((0, 2), (1, 0)). Coefficients are XYPoly.
     """
 
     __slots__ = ()
@@ -281,7 +256,7 @@ class FreeJetPoly(_JetPoly):
         """The coordinate u_(a,b) = d^a/dx^a d^b/dy^b u."""
         if a < 0 or b < 0:
             raise ValueError("derivative orders must be nonnegative")
-        return cls({(((int(a), int(b)), 1),): XYPoly.one()})
+        return cls({((int(a), int(b)),): XYPoly.one()})
 
     def partial(self, a: int, b: int) -> "FreeJetPoly":
         return _partial(self, (int(a), int(b)))
@@ -316,14 +291,14 @@ class FreeJetPoly(_JetPoly):
         if not self.terms:
             return "0"
         def mono_key(mono):
-            return tuple(((-a - b, -a), e) for (a, b), e in mono)
+            return [((-a - b, -a), e) for (a, b), e in _powers(mono)]
         pieces = []
         for mono, coeff in sorted(self.terms.items(),
-                                  key=lambda kv: (-sum(e for _, e in kv[0]),
+                                  key=lambda kv: (-len(kv[0]),
                                                   mono_key(kv[0]))):
             body = monomial_str(
                 (f"u({a},{b})", e) for (a, b), e in
-                sorted(mono, key=lambda ve: (-ve[0][0] - ve[0][1], -ve[0][0])))
+                _powers(sorted(mono, key=lambda v: (-v[0] - v[1], -v[0]))))
             pieces.append(_coeff_prefixed(coeff, body))
         return join_signed(pieces)
 
@@ -362,16 +337,15 @@ def reduced_J(p: ReducedJetPoly) -> ReducedJetPoly:
     return (p.total_derivative("x") * _X) - (p.total_derivative("y") * _Y)
 
 
-def apply_operator_reduced(a: TDOperator, field=U) -> ReducedJetPoly:
-    """Apply an operator to a field on shell: Dx^p Dy^q w reduces to w_(p-q)."""
-    name = _field_name(field)
+def apply_operator_reduced(a: TDOperator) -> ReducedJetPoly:
+    """Apply an operator to u on shell: Dx^p Dy^q u reduces to u_(p-q)."""
     return from_terms(ReducedJetPoly, accumulate(
-        {}, (((((name, p - q), 1),), c) for (p, q), c in a.terms.items())))
+        {}, (((("u", p - q),), c) for (p, q), c in a.terms.items())))
 
 
 def apply_operator_free(a: TDOperator) -> FreeJetPoly:
     """Apply an operator to u off shell: Dx^p Dy^q u is the coordinate u_(p,q)."""
-    return from_terms(FreeJetPoly, {(((p, q), 1),): c
+    return from_terms(FreeJetPoly, {((p, q),): c
                                     for (p, q), c in a.terms.items()})
 
 
@@ -391,13 +365,8 @@ def euler_operator(p: FreeJetPoly) -> FreeJetPoly:
 
 
 def substituted(mono, sub):
-    """The monomial mono with each jet variable v replaced by sub(v), the
-    exponents of variables that coincide added."""
-    exps = {}
-    for v, e in mono:
-        w = sub(v)
-        exps[w] = exps.get(w, 0) + e
-    return tuple(sorted(exps.items()))
+    """The monomial mono with each jet variable v replaced by sub(v)."""
+    return tuple(sorted(map(sub, mono)))
 
 
 def reduce(p: FreeJetPoly) -> ReducedJetPoly:
@@ -417,7 +386,7 @@ def eval_exp_family(p: ReducedJetPoly) -> dict:
         raise ValueError(f"polynomial mixes distinct fields: {sorted(fields)}")
     out = {}
     for mono, coeff in p.terms.items():
-        weight = sum(k * e for (_, k), e in mono)
+        weight = sum(k for _, k in mono)
         accumulate(out, (((i, j, weight), c)
                          for (i, j), c in coeff.terms.items()))
     return out

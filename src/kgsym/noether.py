@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import XYPoly, accumulate, terms_rank
-from .jet import (FieldId, F, FreeJetPoly, ReducedJetPoly, U, _field_name,
-                  apply_operator_free, apply_operator_reduced, euler_operator,
-                  prolonged_action, reduce, require_field_u, substituted)
+from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
+                  apply_operator_reduced, euler_operator, prolonged_action,
+                  reduce, require_field_u, substituted)
 from .opalg import (TDOperator, basis_op, kg_operator, monomial_op,
                     skew_self_split)
 
@@ -62,21 +62,17 @@ class ConservedCurrent:
                              f"have order {actual}")
 
 
-def current_C0(f: FieldId = F, barred: bool = False) -> ConservedCurrent:
+def current_C0(barred: bool = False) -> ConservedCurrent:
     """First-order current attached to the superposition symmetry with a
     symbolic solution f: (f u_y, -f_x u), or the barred (-f_y u, f u_x)."""
-    name = _field_name(f)
-    if name == "u":
-        raise ValueError("the parameter field must be distinct from u")
-    f0 = ReducedJetPoly.var(name, 0)
+    f0, u0 = ReducedJetPoly.var("f", 0), ReducedJetPoly.var("u", 0)
     if barred:
-        t = -ReducedJetPoly.var(name, -1) * ReducedJetPoly.var(U, 0)
-        x = f0 * ReducedJetPoly.var(U, 1)
+        t = -ReducedJetPoly.var("f", -1) * u0
+        x = f0 * ReducedJetPoly.var("u", 1)
     else:
-        t = f0 * ReducedJetPoly.var(U, -1)
-        x = -ReducedJetPoly.var(name, 1) * ReducedJetPoly.var(U, 0)
-    return ConservedCurrent(family="C0", t=t, x=x, order=1,
-                            characteristic=ReducedJetPoly.var(name, 0))
+        t = f0 * ReducedJetPoly.var("u", -1)
+        x = -ReducedJetPoly.var("f", 1) * u0
+    return ConservedCurrent(family="C0", t=t, x=x, order=1, characteristic=f0)
 
 
 def current_Ctilde(a: TDOperator) -> ConservedCurrent:
@@ -92,7 +88,7 @@ def current_Ctilde(a: TDOperator) -> ConservedCurrent:
     orders = [o for o in (t.order(), x.order()) if o is not None]
     return ConservedCurrent(family="Ctilde", t=t, x=x,
                             order=max(orders) if orders else 0,
-                            characteristic=apply_operator_reduced(a, U) * 2)
+                            characteristic=apply_operator_reduced(a) * 2)
 
 
 def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
@@ -116,23 +112,21 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
         t_off = ((dy * dy) * _Y + square * _X) * sign
         x_off = ((dx * dx) * _X + square * _Y) * -sign
         char_op = monomial_op(side, 2 * kp + 1, 2 * lp, -sign * lp)
-    elif family == "C2":
-        base = apply_operator_free(monomial_op("X", kp, lp, -half))
-        dx = base.total_derivative("x")
-        t_off = -(base * base)
-        x_off = dx * dx
-        char_op = basis_op("Q", 2 * kp, 2 * lp + 1)
-    elif family == "C2bar":
-        base = apply_operator_free(monomial_op("Y", kp, lp, half))
-        dy = base.total_derivative("y")
-        t_off = dy * dy
-        x_off = -(base * base)
-        char_op = basis_op("Qbar", 2 * kp, 2 * lp + 1)
+    elif family in ("C2", "C2bar"):
+        # C2bar mirrors C2 (other side and derivative, opposite shift, T and
+        # X swapped); their characteristic words are Q/Qbar[2kp, 2lp+1].
+        side, var, shift, kind = (("X", "x", -half, "Q") if family == "C2"
+                                  else ("Y", "y", half, "Qbar"))
+        base = apply_operator_free(monomial_op(side, kp, lp, shift))
+        d = base.total_derivative(var)
+        pair = (-(base * base), d * d)
+        t_off, x_off = pair if family == "C2" else pair[::-1]
+        char_op = basis_op(kind, 2 * kp, 2 * lp + 1)
     else:
         raise ValueError(f"unknown minimal-current family {family!r}")
     return ConservedCurrent(family=family, t=reduce(t_off), x=reduce(x_off),
                             order=kp + lp + 1,
-                            characteristic=apply_operator_reduced(char_op, U))
+                            characteristic=apply_operator_reduced(char_op))
 
 
 def lift_linear_characteristic(eta: ReducedJetPoly) -> TDOperator:
@@ -142,7 +136,7 @@ def lift_linear_characteristic(eta: ReducedJetPoly) -> TDOperator:
     if not eta.is_linear():
         raise ValueError("lift expects a characteristic linear in the jets")
     # Each monomial of the linear lift is one coordinate u_(a,b) = Dx^a Dy^b u.
-    return TDOperator({mono[0][0]: coeff
+    return TDOperator({mono[0]: coeff
                        for mono, coeff in lifted.terms.items()})
 
 

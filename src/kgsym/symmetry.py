@@ -74,7 +74,7 @@ class DeterminingSystem:
             for col, v in vec.items():
                 k, i, j = self.unknowns[col]
                 coeffs.setdefault(k, {})[(i, j)] = v
-            elements.append(ReducedJetPoly({((("u", k), 1),): XYPoly(poly)
+            elements.append(ReducedJetPoly({(("u", k),): XYPoly(poly)
                                             for k, poly in coeffs.items()}))
         return SymmetryBasis(order=self.order, degree=self.degree,
                              elements=tuple(elements))

@@ -13,10 +13,11 @@ from fractions import Fraction
 
 from .arith import XYPoly
 from .jet import ReducedJetPoly, apply_operator_reduced, reduced_J
-from .noether import (current_C0, current_Ctilde, current_minimal,
-                      is_cl_characteristic, is_variational_linear,
-                      lift_linear_characteristic, minimal_family_members,
-                      onshell_divergence, symmetry_action_on_current)
+from .noether import (count_order_n_currents, current_C0, current_Ctilde,
+                      current_minimal, is_cl_characteristic,
+                      is_variational_linear, lift_linear_characteristic,
+                      minimal_family_members, onshell_divergence,
+                      symmetry_action_on_current)
 from .opalg import TDOperator, basis_op, commutator, kg_operator, monomial_op
 from .parser import parse_jet, parse_operator
 from .symmetry import (dimension_table, independence_rank, reduced_bracket,
@@ -220,7 +221,6 @@ def check_generating_action(max_total: int = 3) -> CheckResult:
 
 def check_counting(max_order: int = 5) -> CheckResult:
     """4n - 1 verified minimal currents of each order n from 2 on."""
-    from .noether import count_order_n_currents
     failures = []
     counts = []
     for n in range(2, max_order + 1):
@@ -247,12 +247,8 @@ def check_independence(max_order: int = 5) -> CheckResult:
                     f"full rank up to order {max_order}")
 
 
-def random_rational(rng, allow_zero=True) -> Fraction:
-    value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    if not allow_zero:
-        while not value:
-            value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return value
+def random_rational(rng) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
 def random_xypoly(rng, max_degree=2, max_terms=3, allow_zero=True) -> XYPoly:
@@ -280,11 +276,9 @@ def random_reduced_jet(rng, max_order=4, max_degree=2, max_terms=4,
                        fields=("u", "f")) -> ReducedJetPoly:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        exps = {}
-        for _ in range(rng.randint(0, max_degree)):
-            var = (rng.choice(fields), rng.randint(-max_order, max_order))
-            exps[var] = exps.get(var, 0) + 1
-        mono = tuple(sorted(exps.items()))
+        mono = tuple(sorted((rng.choice(fields),
+                             rng.randint(-max_order, max_order))
+                            for _ in range(rng.randint(0, max_degree))))
         terms[mono] = random_xypoly(rng, max_degree=2, allow_zero=False)
     return ReducedJetPoly(terms)
 

@@ -233,6 +233,17 @@ def test_long_integer_rejected(capsys, command, text):
     assert "position" in err and "set_int_max_str_digits" not in err
 
 
+def test_unprintable_coefficient_rejected(capsys):
+    # Squaring a 3000-digit integer gives a 6000-digit coefficient, past
+    # the interpreter's 4300-digit limit on printing an int.
+    code, out, err = run_cli(capsys, "adjoint", f"({'9' * 3000}*x)^2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "too large to print" in err
+    assert "4300 digits" in err and "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize("signs, expected", [
     ("-" * 1500, "x"), ("+" * 1500, "x"), ("-" * 1501, "-x")])
 def test_long_sign_runs_parse(capsys, signs, expected):

@@ -27,12 +27,11 @@ def uf(a, b):
 def random_free_jet(rng, max_order=3, max_degree=2, max_terms=4):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        exps = {}
+        mono = []
         for _ in range(rng.randint(0, max_degree)):
             a = rng.randint(0, max_order)
-            b = rng.randint(0, max_order - a)
-            exps[(a, b)] = exps.get((a, b), 0) + 1
-        terms[tuple(sorted(exps.items()))] = random_xypoly(rng, allow_zero=False)
+            mono.append((a, rng.randint(0, max_order - a)))
+        terms[tuple(sorted(mono))] = random_xypoly(rng, allow_zero=False)
     return FreeJetPoly(terms)
 
 
@@ -140,7 +139,7 @@ def test_eval_exp_family_intertwines():
     # multiplying by the spectral parameter plus differentiating in x.
     rng = random.Random(34)
     for _ in range(40):
-        terms = {((("u", rng.randint(-3, 3)), 1),):
+        terms = {(("u", rng.randint(-3, 3)),):
                  random_xypoly(rng, allow_zero=False)
                  for _ in range(rng.randint(1, 3))}
         p = ReducedJetPoly(terms)
@@ -182,6 +181,44 @@ def test_multifield_chain_rule_randomized():
 def test_apply_operator_free():
     op = TDOperator({(2, 1): X, (0, 0): XYPoly.constant(-1)})
     assert apply_operator_free(op) == uf(2, 1) * X - uf(0, 0)
+
+
+def _is_reduced_var(v):
+    return isinstance(v[0], str) and isinstance(v[1], int)
+
+
+def _is_free_var(v):
+    return all(isinstance(i, int) and i >= 0 for i in v)
+
+
+def _canonical(p, is_var):
+    """Every monomial of p is a sorted tuple of jet variables."""
+    return all(list(mono) == sorted(mono) and all(map(is_var, mono))
+               for mono in p.terms)
+
+
+def test_monomials_are_sorted_variable_tuples():
+    assert ReducedJetPoly.var("u", 2).terms == {(("u", 2),): XYPoly.one()}
+    assert FreeJetPoly.var(1, 0).terms == {((1, 0),): XYPoly.one()}
+    # unsorted and repeated-variable input is the product of its variables
+    assert (ReducedJetPoly({(("u", 1), ("f", 0), ("u", 0), ("u", 1)): 3})
+            == u(1) * ReducedJetPoly.var("f", 0) * u(0) * u(1) * 3)
+    assert FreeJetPoly({((1, 0), (0, 2), (1, 0)): 1}) == uf(1, 0) ** 2 * uf(0, 2)
+    assert (u(0) ** 3).partial("u", 0) == u(0) ** 2 * 3
+    assert (u(0) ** 2).total_derivative("x") == u(0) * u(1) * 2
+    rng = random.Random(37)
+    for _ in range(30):
+        p = random_reduced_jet(rng, max_order=2, max_degree=3)
+        q = random_reduced_jet(rng, max_order=2, max_degree=3)
+        results = [p * q, p.total_derivative("x"), p.total_derivative("y")]
+        results += [p.partial(*v) for v in p.jet_variables()]
+        assert all(_canonical(r, _is_reduced_var) for r in results)
+        f = random_free_jet(rng)
+        g = random_free_jet(rng)
+        results = [f * g, f.total_derivative("x"), f.total_derivative("y")]
+        results += [f.partial(*v) for v in f.jet_variables()]
+        assert all(_canonical(r, _is_free_var) for r in results)
+        assert _canonical(reduce(f * g), _is_reduced_var)
 
 
 def test_jet_text_forms():

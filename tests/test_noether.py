@@ -115,11 +115,6 @@ def test_current_C0_barred():
     assert onshell_divergence(c.t, c.x).is_zero()
 
 
-def test_current_C0_rejects_u():
-    with pytest.raises(ValueError):
-        current_C0(f="u")
-
-
 def test_current_Ctilde_translation():
     c = current_Ctilde(TDOperator.dx())
     assert c.t == -u(0) * u(0)

@@ -138,6 +138,6 @@ def test_round_trip_awkward_coefficients():
     op = TDOperator({(1, 0): XYPoly({(1, 1): Fraction(-3, 7), (0, 0): 1}),
                      (0, 0): XYPoly.constant(Fraction(-1, 2))})
     assert parse_operator(str(op)) == op
-    p = ReducedJetPoly({((("u", -3), 2), (("f", 1), 1)):
+    p = ReducedJetPoly({(("u", -3), ("u", -3), ("f", 1)):
                         XYPoly({(0, 2): Fraction(5, 3), (1, 0): -2})})
     assert parse_jet(str(p)) == p
