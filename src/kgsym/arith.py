@@ -10,16 +10,29 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-# Rational scalars are arbitrary-precision fractions: always in lowest terms,
-# denominator positive, zero is 0/1.
+# Rational scalars are exact: an int when the value is integral, else a
+# Fraction (lowest terms, denominator positive). Every rational coefficient
+# of a term map, RationalMatrix cell and kernel entry is int | Fraction in
+# this form. int arithmetic is much cheaper, and the two forms of one value
+# are interchangeable: 3 == Fraction(3), hash(3) == hash(Fraction(3)) and
+# str(3) == str(Fraction(3)).
 Rational = Fraction
 
 
-def _as_rational(value) -> Fraction:
+def _integral(c):
+    """c with an integral Fraction replaced by its numerator."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def as_rational(value):
+    """value as a rational scalar: an int when it is integral, else a
+    Fraction; TypeError unless it is an int or a Fraction."""
+    if type(value) is int:      # before isinstance(value, Fraction), an ABC
+        return value            # check that is slow for an int
     if isinstance(value, Fraction):
-        return value
+        return _integral(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -35,7 +48,7 @@ def accumulate(out, items):
         s = out.get(key)
         s = c if s is None else s + c
         if s:
-            out[key] = s
+            out[key] = _integral(s)
         else:
             out.pop(key, None)
     return out
@@ -47,9 +60,10 @@ def add_terms(a, b):
 
 def scale_terms(terms, factor):
     """Every coefficient times factor; negation is scaling by -1."""
+    factor = _integral(factor)
     if not factor:
         return {}
-    return {key: c * factor for key, c in terms.items()}
+    return {key: _integral(c * factor) for key, c in terms.items()}
 
 
 def sub_terms(a, b):
@@ -145,7 +159,7 @@ class XYPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = clean_terms(terms, _as_rational, int_key)
+        self.terms = clean_terms(terms, as_rational, int_key)
 
     @classmethod
     def zero(cls) -> "XYPoly":
@@ -173,17 +187,19 @@ class XYPoly:
     def is_constant(self) -> bool:
         return all(key == (0, 0) for key in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get((0, 0), Fraction(0))
+        return self.terms.get((0, 0), 0)
 
     def diff(self, var: str) -> "XYPoly":
         """Exact partial derivative with respect to x or y."""
         if var == "x":
-            out = {(i - 1, j): c * i for (i, j), c in self.terms.items() if i}
+            out = {(i - 1, j): _integral(c * i)
+                   for (i, j), c in self.terms.items() if i}
         elif var == "y":
-            out = {(i, j - 1): c * j for (i, j), c in self.terms.items() if j}
+            out = {(i, j - 1): _integral(c * j)
+                   for (i, j), c in self.terms.items() if j}
         else:
             raise ValueError(f"unknown variable {var!r}")
         return from_terms(XYPoly, out)
@@ -262,7 +278,8 @@ def as_poly(value):
     if isinstance(value, XYPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return from_terms(XYPoly, {(0, 0): Fraction(value)} if value else {})
+        value = as_rational(value)
+        return from_terms(XYPoly, {(0, 0): value} if value else {})
     return None
 
 
@@ -290,7 +307,7 @@ class RationalMatrix:
             raise ValueError("entry grid does not match declared dimensions")
         self.rows = rows
         self.cols = cols
-        self.entries = [[_as_rational(v) for v in row] for row in entries]
+        self.entries = [[as_rational(v) for v in row] for row in entries]
 
     @classmethod
     def from_rows(cls, entries) -> "RationalMatrix":
@@ -377,8 +394,8 @@ def nullspace(m: RationalMatrix):
     for free_col in range(cols):
         if free_col in pivot_set:
             continue
-        vec = [Fraction(0)] * cols
-        vec[free_col] = Fraction(1)
+        vec = [0] * cols
+        vec[free_col] = 1
         for i in range(len(pivots) - 1, -1, -1):
             pc = pivots[i]
             if pc > free_col:
@@ -392,7 +409,7 @@ def nullspace(m: RationalMatrix):
                 if row[c] and vec[c]:
                     s += row[c] * vec[c]
             if s:
-                vec[pc] = Fraction(-s, row[pc])
+                vec[pc] = _integral(Fraction(-s, row[pc]))
         basis.append(vec)
     return basis
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .arith import (XYPoly, accumulate, add_terms, clean_terms, from_terms,
-                    int_key, join_signed, monomial_str, poly_coefficient,
-                    power, scalar_prefixed, scale_terms, sub_terms)
+from .arith import (XYPoly, accumulate, add_terms, as_rational, clean_terms,
+                    from_terms, int_key, join_signed, monomial_str,
+                    poly_coefficient, power, scalar_prefixed, scale_terms,
+                    sub_terms)
 
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
@@ -107,7 +108,8 @@ class TDOperator:
 
     def scale(self, value) -> "TDOperator":
         """Multiply by a constant scalar (constants commute with Dx, Dy)."""
-        return from_terms(TDOperator, scale_terms(self.terms, Fraction(value)))
+        return from_terms(TDOperator,
+                          scale_terms(self.terms, as_rational(value)))
 
     def left_mul_poly(self, poly: XYPoly) -> "TDOperator":
         """Left multiplication by a polynomial: poly * self, still normal."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import XYPoly
+from .arith import XYPoly, as_rational
 from .jet import ReducedJetPoly
 from .opalg import TDOperator
 
@@ -35,10 +35,12 @@ MAX_NESTING = 100
 # multiplication, so this bounds the number of products one ^ can ask for.
 MAX_EXPONENT = 1000
 
-# Most digits accepted in one integer, below the interpreter's own limit on
-# int() (4300 by default), whose error would name no input position. _int is
-# the one place where an INT token becomes an int.
-MAX_DIGITS = 4000
+# Most digits accepted in one integer: the interpreter's default limit on
+# converting between int and text, so every coefficient the printers can
+# write parses back, and int() never raises its own error, which would name
+# no input position. _int is the one place where an INT token becomes an
+# int.
+MAX_DIGITS = 4300
 
 
 def _int(tok) -> int:
@@ -144,15 +146,17 @@ class _Parser:
             value = value ** exponent
         return value
 
-    def rational(self, first) -> Fraction:
-        value = Fraction(_int(first))
+    def rational(self, first):
+        """The integer first, or first/den when a / follows: an int when
+        the value is integral, else a Fraction."""
+        value = _int(first)
         if self.peek()[0] == "/":
             self.advance()
             tok = self.expect("INT")
             den = _int(tok)
             if den == 0:
                 raise ParseError("zero denominator", tok[2])
-            value = Fraction(value, den)
+            value = as_rational(Fraction(value, den))
         return value
 
     def primary(self):

@@ -5,8 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from kgsym.arith import RationalMatrix, XYPoly, nullspace, rank
-from kgsym.verify import random_xypoly
+from kgsym.arith import (RationalMatrix, XYPoly, accumulate, as_poly,
+                         as_rational, from_terms, nullspace, rank,
+                         scale_terms)
+from kgsym.jet import ReducedJetPoly
+from kgsym.opalg import TDOperator
+from kgsym.parser import parse_operator
+from kgsym.verify import random_operator, random_reduced_jet, random_xypoly
 
 X = XYPoly.variable("x")
 Y = XYPoly.variable("y")
@@ -116,3 +121,64 @@ def test_rank_of_zero_and_full():
 def test_matrix_dimension_validation():
     with pytest.raises(ValueError):
         RationalMatrix(2, 2, [[1, 2]])
+
+
+def _with_fractions(value):
+    """value with every rational coefficient held as a Fraction, built
+    past the constructors, which store the integral ones as int."""
+    if isinstance(value, XYPoly):
+        return from_terms(XYPoly, {key: Fraction(c)
+                                   for key, c in value.terms.items()})
+    return from_terms(type(value), {key: _with_fractions(c)
+                                    for key, c in value.terms.items()})
+
+
+def _rationals(value):
+    if isinstance(value, XYPoly):
+        return list(value.terms.values())
+    return [c for poly in value.terms.values() for c in _rationals(poly)]
+
+
+@pytest.mark.parametrize("make", [random_xypoly, random_operator,
+                                  random_reduced_jet])
+def test_int_and_fraction_coefficients_are_interchangeable(make):
+    rng = random.Random(303)
+    for _ in range(40):
+        a, b = make(rng), make(rng)
+        if rng.random() < 0.5:
+            # 2520 = lcm(1..9) makes every seeded coefficient integral.
+            a = a * 2520
+        fa, fb = _with_fractions(a), _with_fractions(b)
+        assert all(type(c) is int for c in _rationals(a)
+                   if c.denominator == 1)
+        assert all(type(c) is Fraction for c in _rationals(fa))
+        assert fa == a and hash(fa) == hash(a) and str(fa) == str(a)
+        if isinstance(a, TDOperator):
+            assert fa.compose(fb) == a.compose(b)
+            assert fa.adjoint() == a.adjoint()
+        else:
+            assert fa * fb == a * b
+        if isinstance(a, ReducedJetPoly):
+            for var in "xy":
+                assert fa.total_derivative(var) == a.total_derivative(var)
+
+
+def test_integral_values_are_stored_as_int():
+    half = Fraction(1, 2)
+    assert type(as_rational(Fraction(6, 2))) is int
+    assert type(accumulate({}, [("k", half), ("k", half)])["k"]) is int
+    scaled = scale_terms({"a": half, "b": 3}, Fraction(4, 2))
+    assert scaled == {"a": 1, "b": 6}
+    assert all(type(c) is int for c in scaled.values())
+    assert type(as_poly(Fraction(3)).terms[(0, 0)]) is int
+    assert type(XYPoly.zero().constant_value()) is int
+    m = RationalMatrix.from_rows([[Fraction(4, 2), 1, 0], [half, 0, 2]])
+    assert [type(v) for row in m.entries for v in row] == [
+        int, int, int, Fraction, int, int]
+    assert [[type(v) for v in vec] for vec in nullspace(m)] == [
+        [int, int, int]]
+    for text in ("3*x", "6/2*x"):
+        (coeff,) = parse_operator(text).terms.values()
+        assert type(coeff.terms[(1, 0)]) is int
+    with pytest.raises(TypeError):
+        as_rational(0.5)

@@ -244,6 +244,17 @@ def test_unprintable_coefficient_rejected(capsys):
     assert "4300 digits" in err and "set_int_max_str_digits" not in err
 
 
+def test_largest_printable_coefficients_parse_back(capsys):
+    # Squaring a 2100-digit integer gives a 4200-digit coefficient, below
+    # the 4300-digit print limit, so its text must parse back.
+    text = f"({'9' * 2100}*x)^2"
+    code, out, _ = run_cli(capsys, "--format", "json", "adjoint", text)
+    assert code == 0
+    printed = json.loads(out)["result"]["text"]
+    assert len(printed) > 4200
+    assert parse_operator(printed) == parse_operator(text).adjoint()
+
+
 @pytest.mark.parametrize("signs, expected", [
     ("-" * 1500, "x"), ("+" * 1500, "x"), ("-" * 1501, "-x")])
 def test_long_sign_runs_parse(capsys, signs, expected):

@@ -159,3 +159,11 @@ def test_compose_high_order_uses_closed_form():
     assert d1000.adjoint() == d1000
     assert TDOperator({(0, 1001): Y}).adjoint() == -TDOperator(
         {(0, 1001): XYPoly.one()}).compose(TDOperator.mul_by(Y))
+
+
+@pytest.mark.parametrize("value", [0.1, "1/3"])
+def test_scale_rejects_floats_and_strings(value):
+    # Only exact rationals scale an operator; a float would be read as its
+    # binary fraction.
+    with pytest.raises(TypeError):
+        DX.scale(value)
