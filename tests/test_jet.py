@@ -122,6 +122,15 @@ def test_reduce_is_differential_morphism():
         assert reduce(p.total_derivative("y")) == reduce(p).total_derivative("y")
 
 
+def test_reduce_is_ring_morphism():
+    rng = random.Random(34)
+    for _ in range(30):
+        p = random_free_jet(rng)
+        q = random_free_jet(rng)
+        assert reduce(p * q) == reduce(p) * reduce(q)
+        assert reduce(p + q) == reduce(p) + reduce(q)
+
+
 def test_eval_exp_family_examples():
     assert eval_exp_family(u(0)) == {(0, 0, 0): 1}
     assert eval_exp_family(reduced_J(u(0))) == {(1, 0, 1): 1, (0, 1, -1): -1}

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from kgsym.arith import XYPoly
-from kgsym.jet import (FreeJetPoly, ReducedJetPoly, apply_operator_reduced,
-                       euler_operator, reduced_J)
+from kgsym.jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
+                       apply_operator_reduced, euler_operator, reduce,
+                       reduced_J)
 from kgsym.noether import (ConservedCurrent, count_order_n_currents,
                            current_C0, current_Ctilde, current_minimal,
                            currents_independent, is_cl_characteristic,
@@ -250,3 +251,45 @@ def test_first_order_span_independent():
     assert currents_independent(currents)
     assert not currents_independent(
         [current_minimal("C2", 0, 0), current_minimal("C2", 0, 0)])
+
+
+def _free_route_minimal(family, kp, lp):
+    """(T, X, characteristic) of a minimal current built on the free jet
+    and reduced at the end."""
+    if family in ("C1", "C1bar"):
+        side, sign = ("X", -1) if family == "C1" else ("Y", 1)
+        base = apply_operator_free(monomial_op(side, kp, lp))
+        dx = base.total_derivative("x")
+        dy = base.total_derivative("y")
+        square = base * base
+        t = ((dy * dy) * Y + square * X) * sign
+        x = ((dx * dx) * X + square * Y) * -sign
+        char_op = monomial_op(side, 2 * kp + 1, 2 * lp, -sign * lp)
+    else:
+        side, var, shift, kind = (("X", "x", -Fraction(1, 2), "Q")
+                                  if family == "C2" else
+                                  ("Y", "y", Fraction(1, 2), "Qbar"))
+        base = apply_operator_free(monomial_op(side, kp, lp, shift))
+        d = base.total_derivative(var)
+        t, x = -(base * base), d * d
+        if family == "C2bar":
+            t, x = x, t
+        char_op = basis_op(kind, 2 * kp, 2 * lp + 1)
+    return reduce(t), reduce(x), apply_operator_reduced(char_op)
+
+
+def test_minimal_currents_match_free_route():
+    for n in range(1, 6):
+        for family, kp, lp in minimal_family_members(n):
+            c = current_minimal(family, kp, lp)
+            assert (c.t, c.x, c.characteristic) == _free_route_minimal(
+                family, kp, lp), (family, kp, lp)
+
+
+def test_ctilde_currents_match_free_route():
+    for op in skew_basis_ops(5):
+        au = apply_operator_free(op)
+        c = current_Ctilde(op)
+        assert c.t == reduce(-FreeJetPoly.var(0, 0) * au.total_derivative("y"))
+        assert c.x == reduce(FreeJetPoly.var(1, 0) * au)
+        assert c.characteristic == apply_operator_reduced(op) * 2

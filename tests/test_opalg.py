@@ -167,3 +167,34 @@ def test_scale_rejects_floats_and_strings(value):
     # binary fraction.
     with pytest.raises(TypeError):
         DX.scale(value)
+
+
+def _word_by_composition(side, k, l, shift):
+    """(J + shift)^k o D^l built by repeated compose, one factor at a time."""
+    head = J + TDOperator.mul_by(shift)
+    tail = DX if side == "X" else DY
+    word = ONE
+    for _ in range(k):
+        word = word.compose(head)
+    for _ in range(l):
+        word = word.compose(tail)
+    return word
+
+
+@pytest.mark.parametrize("side", ["X", "Y"])
+def test_monomial_op_matches_composition(side):
+    for k in range(7):
+        for l in range(5):
+            for shift in (0, Fraction(l, 2), -Fraction(l, 2), -l,
+                          Fraction(-3, 7)):
+                assert monomial_op(side, k, l, shift) == _word_by_composition(
+                    side, k, l, shift), (side, k, l, shift)
+
+
+def test_monomial_op_rejects_bad_input():
+    with pytest.raises(TypeError):
+        monomial_op("X", 2, 1, 0.5)
+    with pytest.raises(ValueError):
+        monomial_op("Z", 2, 1)
+    with pytest.raises(ValueError):
+        monomial_op("X", -1, 0)
