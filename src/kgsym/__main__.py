@@ -1,0 +1,5 @@
+"""Run the command line as python -m kgsym."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import XYPoly, accumulate, terms_rank
-from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
-                  apply_operator_reduced, euler_operator, prolonged_action,
-                  reduce, require_field_u, substituted)
+from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_reduced,
+                  euler_operator, prolonged_action, require_field_u,
+                  substituted)
 from .opalg import (TDOperator, basis_op, kg_operator, monomial_op,
                     skew_self_split)
 
@@ -30,6 +30,11 @@ def is_variational_linear(a: TDOperator) -> bool:
     L = Dx*Dy - 1 is the (formally self-adjoint) equation operator."""
     kg = kg_operator()
     return (a.adjoint().compose(kg) + kg.adjoint().compose(a)).is_zero()
+
+
+def _component_order(t: ReducedJetPoly, x: ReducedJetPoly) -> int:
+    """Max of the component orders; 0 when both are coefficient-only."""
+    return max(t.order() or 0, x.order() or 0)
 
 
 def onshell_divergence(t: ReducedJetPoly, x: ReducedJetPoly) -> ReducedJetPoly:
@@ -55,8 +60,7 @@ class ConservedCurrent:
         if div:
             raise ValueError(f"current is not conserved on shell; "
                              f"divergence = {div}")
-        orders = [o for o in (self.t.order(), self.x.order()) if o is not None]
-        actual = max(orders) if orders else 0
+        actual = _component_order(self.t, self.x)
         if actual != self.order:
             raise ValueError(f"declared order {self.order} but components "
                              f"have order {actual}")
@@ -82,20 +86,20 @@ def current_Ctilde(a: TDOperator) -> ConservedCurrent:
     if not residue.is_zero():
         raise ValueError(f"operator is not skew-adjoint; self-adjoint part "
                          f"is {residue}")
-    au = apply_operator_free(a)
-    t = reduce(-FreeJetPoly.var(0, 0) * au.total_derivative("y"))
-    x = reduce(FreeJetPoly.var(1, 0) * au)
-    orders = [o for o in (t.order(), x.order()) if o is not None]
+    au = apply_operator_reduced(a)
+    t = -ReducedJetPoly.var("u", 0) * au.total_derivative("y")
+    x = ReducedJetPoly.var("u", 1) * au
     return ConservedCurrent(family="Ctilde", t=t, x=x,
-                            order=max(orders) if orders else 0,
-                            characteristic=apply_operator_reduced(a) * 2)
+                            order=_component_order(t, x),
+                            characteristic=au * 2)
 
 
 def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
     """Minimal-order current of the stated family with word orders kp, lp.
 
     The resulting order is kp + lp + 1, asserted before returning. Family C1
-    needs lp >= 1."""
+    needs lp >= 1. Built on the reduced jet: reduce, a ring morphism
+    commuting with Dx and Dy, would give the same from the free jet."""
     if kp < 0 or lp < 0:
         raise ValueError("orders must be nonnegative")
     half = Fraction(1, 2)
@@ -105,27 +109,26 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
         if family == "C1" and lp < 1:
             raise ValueError("family C1 requires lp >= 1")
         side, sign = ("X", -1) if family == "C1" else ("Y", 1)
-        base = apply_operator_free(monomial_op(side, kp, lp))
+        base = apply_operator_reduced(monomial_op(side, kp, lp))
         dx = base.total_derivative("x")
         dy = base.total_derivative("y")
         square = base * base
-        t_off = ((dy * dy) * _Y + square * _X) * sign
-        x_off = ((dx * dx) * _X + square * _Y) * -sign
+        t = ((dy * dy) * _Y + square * _X) * sign
+        x = ((dx * dx) * _X + square * _Y) * -sign
         char_op = monomial_op(side, 2 * kp + 1, 2 * lp, -sign * lp)
     elif family in ("C2", "C2bar"):
         # C2bar mirrors C2 (other side and derivative, opposite shift, T and
         # X swapped); their characteristic words are Q/Qbar[2kp, 2lp+1].
         side, var, shift, kind = (("X", "x", -half, "Q") if family == "C2"
                                   else ("Y", "y", half, "Qbar"))
-        base = apply_operator_free(monomial_op(side, kp, lp, shift))
+        base = apply_operator_reduced(monomial_op(side, kp, lp, shift))
         d = base.total_derivative(var)
         pair = (-(base * base), d * d)
-        t_off, x_off = pair if family == "C2" else pair[::-1]
+        t, x = pair if family == "C2" else pair[::-1]
         char_op = basis_op(kind, 2 * kp, 2 * lp + 1)
     else:
         raise ValueError(f"unknown minimal-current family {family!r}")
-    return ConservedCurrent(family=family, t=reduce(t_off), x=reduce(x_off),
-                            order=kp + lp + 1,
+    return ConservedCurrent(family=family, t=t, x=x, order=kp + lp + 1,
                             characteristic=apply_operator_reduced(char_op))
 
 

@@ -207,17 +207,22 @@ def basis_op(kind: str, k: int, l: int) -> TDOperator:
 
 def monomial_op(side: str, k: int, l: int, shift=0) -> TDOperator:
     """The word (J + shift)^k o Dx^l (side X) or (J + shift)^k o Dy^l
-    (side Y), normal-ordered; shift is a rational constant."""
+    (side Y), normal-ordered; shift is a rational constant. With e(m, n) =
+    x^m y^n Dx^m Dy^n, (J + shift) o e(m, n) = (m - n + shift) e(m, n) +
+    e(m + 1, n) - e(m, n + 1), and e(m, n) o Dx^l = x^m y^n Dx^(m+l) Dy^n."""
     if k < 0 or l < 0:
         raise ValueError("orders must be nonnegative")
-    if side == "X":
-        tail = TDOperator({(l, 0): XYPoly.one()})
-    elif side == "Y":
-        tail = TDOperator({(0, l): XYPoly.one()})
-    else:
+    if side not in ("X", "Y"):
         raise ValueError(f"unknown side {side!r}")
-    head = TDOperator.j() + TDOperator.mul_by(shift)
-    return (head ** k).compose(tail)
+    shift = as_rational(shift)
+    word = {(0, 0): 1}
+    for _ in range(k):
+        word = accumulate({}, (t for (m, n), c in word.items() for t in (
+            ((m, n), c * (m - n + shift)), ((m + 1, n), c), ((m, n + 1), -c))))
+    p, q = (l, 0) if side == "X" else (0, l)
+    return from_terms(TDOperator, {
+        (m + p, n + q): from_terms(XYPoly, {(m, n): c})
+        for (m, n), c in word.items()})
 
 
 def skew_self_split(a: TDOperator):

@@ -9,6 +9,7 @@ Printing either kind of value yields text that parses back to an equal value.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .arith import XYPoly, as_rational
@@ -37,16 +38,17 @@ MAX_EXPONENT = 1000
 
 # Most digits accepted in one integer: the interpreter's default limit on
 # converting between int and text, so every coefficient the printers can
-# write parses back, and int() never raises its own error, which would name
-# no input position. _int is the one place where an INT token becomes an
-# int.
+# write parses back. _int, the one place where an INT token becomes an int,
+# also applies a lower limit set by the user (PYTHONINTMAXSTRDIGITS), so
+# int() never raises its own error, which would name no input position.
 MAX_DIGITS = 4300
 
 
 def _int(tok) -> int:
-    if len(tok[1]) > MAX_DIGITS:
+    bound = min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)
+    if len(tok[1]) > bound:
         raise ParseError(f"integer of {len(tok[1])} digits exceeds the bound "
-                         f"{MAX_DIGITS}", tok[2])
+                         f"{bound}", tok[2])
     return int(tok[1])
 
 

@@ -19,6 +19,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(module, *argv, stdout=subprocess.PIPE, **env_extra):
+    """Run python -m module argv in a fresh interpreter that imports kgsym
+    from src/, with env_extra added to the environment."""
+    env = dict(os.environ, **env_extra)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          text=True, timeout=120)
+
+
 def test_dims_table(capsys):
     code, out, _ = run_cli(capsys, "dims", "--max-order", "3")
     assert code == 0
@@ -276,17 +288,31 @@ def test_current_C0_rejects_trailing_words(capsys, rest):
 def test_closed_stdout_exits_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)          # no reader is left when the report is written
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src, *filter(None, [env.get("PYTHONPATH")])])
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "kgsym.cli", "current", "C0"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
-            timeout=120)
+        proc = run_module("kgsym.cli", "current", "C0", stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+
+
+def test_lower_user_digit_limit_named():
+    # A limit on int/text conversion below MAX_DIGITS, set by the user, is
+    # the parser's bound, named with the input position.
+    proc = run_module("kgsym.cli", "adjoint", "9" * 700 + "*x",
+                      PYTHONINTMAXSTRDIGITS="640")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ")
+    assert "bound 640" in proc.stderr and "position 0" in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
+
+
+def test_python_m_kgsym_runs_the_cli(capsys):
+    proc = run_module("kgsym", "dims", "--max-order", "2")
+    code, out, _ = run_cli(capsys, "dims", "--max-order", "2")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
     assert proc.stderr == ""
