@@ -1,5 +1,8 @@
 """Exact arithmetic substrate: rational scalars, sparse bivariate polynomials
-in x and y, and exact rational linear algebra (nullspace, sparse_kernel, rank).
+in x and y, and exact rational linear algebra. The linear algebra is one
+fraction-free elimination on sparse integer rows, behind sparse_kernel and
+terms_rank, with no blocks or components to find; nullspace and rank are its
+dense front ends for a RationalMatrix.
 
 Everything here is exact; no floating point is used anywhere in the package.
 """
@@ -8,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 # Rational scalars are exact: an int when the value is integral, else a
 # Fraction (lowest terms, denominator positive). Every rational coefficient
@@ -325,137 +328,107 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(m: RationalMatrix):
-    """Scale each row to coprime integers, dropping zero rows."""
-    out = []
-    for row in m.entries:
-        den = 1
-        for v in row:
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _combine(a, row, b, pivot):
+    """The primitive a*row - b*pivot, zeros dropped: with a and b the two
+    rows' entries in one column, that column cancels."""
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {c: a * v for c, v in row.items()}
+    for c, v in pivot.items():
+        s = out.get(c, 0) - b * v
+        if s:
+            out[c] = s
+        else:
+            del out[c]
+    return _primitive(out)
+
+
+def _reduced_rows(images):
+    """Fraction-free Gauss-Jordan elimination of the linear map sending
+    unknown c to the term map images[c]; returns {pivot column: row}.
+
+    Each equation, the values of one key across the images, becomes a sparse
+    {column: value} row of coprime integers and is reduced against the pivot
+    rows, keyed by leading (smallest) column, until its leading column is
+    new. Back substitution in descending pivot order then clears every
+    other pivot column, so a row holds its pivot and free columns only. Rows
+    only ever mix with rows that share a column, so the blocks of a block
+    diagonal map stay apart without being looked for."""
+    equations = {}
+    for c, terms in enumerate(images):
+        for key, v in terms.items():
             if v:
-                den = den * v.denominator // gcd(den, v.denominator)
-        ints = [v.numerator * (den // v.denominator) if v else 0
-                for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g:
-            out.append([v // g for v in ints])
-    return out
-
-
-def _echelon(rows, cols):
-    """Fraction-free forward elimination.
-
-    Returns (reduced rows, pivot column list). Pivot policy: leftmost nonzero
-    column, first nonzero row; scaling stays integral and is normalized only
-    when kernel vectors are extracted.
-    """
-    pivots = []
-    r = 0
-    for col in range(cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
+                equations.setdefault(key, {})[c] = v
+    pivots = {}
+    for row in equations.values():
+        den = lcm(*(v.denominator for v in row.values()))
+        row = _primitive({c: v.numerator * (den // v.denominator)
+                          for c, v in row.items()})
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
                 break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            v = rows[i][col]
-            if not v:
-                continue
-            tail = [pv * a - v * b
-                    for a, b in zip(rows[i][col:], rows[r][col:])]
-            g = 0
-            for t in tail:
-                g = gcd(g, t)
-            if g > 1:
-                tail = [t // g for t in tail]
-            rows[i] = [0] * col + tail
-        pivots.append(col)
-        r += 1
-    return rows[:r], pivots
-
-
-def nullspace(m: RationalMatrix):
-    """Exact kernel basis in reduced-row-echelon convention.
-
-    Each basis vector carries a unit entry in its own free column and zeros in
-    every other free column; vectors are ordered by ascending free-column
-    index. The empty list signals a trivial kernel.
-    """
-    cols = m.cols
-    rows, pivots = _echelon(_integer_rows(m), cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free_col in range(cols):
-        if free_col in pivot_set:
-            continue
-        vec = [0] * cols
-        vec[free_col] = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            if pc > free_col:
-                continue
-            row = rows[i]
-            s = row[free_col] * vec[free_col]
-            for j in range(i + 1, len(pivots)):
-                c = pivots[j]
-                if c > free_col:
-                    break
-                if row[c] and vec[c]:
-                    s += row[c] * vec[c]
-            if s:
-                vec[pc] = _integral(Fraction(-s, row[pc]))
-        basis.append(vec)
-    return basis
-
-
-def rank(m: RationalMatrix) -> int:
-    """Exact rank via fraction-free elimination."""
-    _, pivots = _echelon(_integer_rows(m), m.cols)
-    return len(pivots)
-
-
-def terms_rank(rows) -> int:
-    """Exact rank of term maps read as the rows of a matrix over the union
-    of their keys: their number less that of independent linear relations
-    among them."""
-    return len(rows) - len(sparse_kernel(rows))
+            row = _combine(pivot[lead], row, row[lead], pivot)
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        for c in [c for c in row if c != p and c in pivots]:
+            row = _combine(pivots[c][c], row, row[c], pivots[c])
+        pivots[p] = row
+    return pivots
 
 
 def sparse_kernel(images):
     """Reduced-echelon kernel basis of the linear map sending unknown c to
     the term map images[c], as {c: value} vectors in ascending c.
 
-    Unknowns linked through shared keys form one connected component. The
-    matrix is block diagonal over the components, with their pivots, so
-    their kernels, one nullspace call each, ordered by free column (a
-    vector's largest index), are the kernel basis of the whole map."""
-    root = list(range(len(images)))
+    The vector of free column f is 1 at f and -row[f] / row[p] at the pivot
+    p of every reduced row that holds f; the vectors are ordered by free
+    column, their largest index."""
+    pivots = _reduced_rows(images)
+    kernel = {f: {} for f in range(len(images)) if f not in pivots}
+    for p, row in sorted(pivots.items()):
+        for f, v in row.items():
+            if f != p:
+                kernel[f][p] = _integral(Fraction(-v, row[p]))
+    return [{**vec, f: 1} for f, vec in kernel.items()]
 
-    def find(c):
-        while root[c] != c:
-            root[c] = c = root[root[c]]
-        return c
 
-    first = {}                  # key -> the first unknown that reaches it
-    for c, terms in enumerate(images):
-        for key in terms:
-            root[find(c)] = find(first.setdefault(key, c))
-    components = {}
-    for c in range(len(images)):
-        components.setdefault(find(c), []).append(c)
-    kernel = []
-    for cols in components.values():
-        keys = dict.fromkeys(key for c in cols for key in images[c])
-        matrix = RationalMatrix(len(keys), len(cols),
-                                [[images[c].get(key, 0) for c in cols]
-                                 for key in keys])
-        kernel.extend({cols[i]: v for i, v in enumerate(vec) if v}
-                      for vec in nullspace(matrix))
-    kernel.sort(key=max)
-    return kernel
+def terms_rank(rows) -> int:
+    """Exact rank of term maps read as the rows of a matrix over the union
+    of their keys: the number of pivots of their elimination."""
+    return len(_reduced_rows(rows))
+
+
+def _columns(m: RationalMatrix):
+    """The columns of m as term maps {row: value}."""
+    return [{r: row[c] for r, row in enumerate(m.entries)}
+            for c in range(m.cols)]
+
+
+def nullspace(m: RationalMatrix):
+    """Exact kernel basis of m in reduced-row-echelon convention: the
+    sparse_kernel of its columns, written out densely.
+
+    Each basis vector carries a unit entry in its own free column and zeros in
+    every other free column; vectors are ordered by ascending free-column
+    index. The empty list signals a trivial kernel. The package solves
+    through sparse_kernel; this dense front end remains because the sympy
+    oracle tests compare it with sympy's nullspace and the benchmark tracer
+    wraps it by name."""
+    return [[vec.get(c, 0) for c in range(m.cols)]
+            for vec in sparse_kernel(_columns(m))]
+
+
+def rank(m: RationalMatrix) -> int:
+    """Exact rank of m: the pivot count of the elimination of its columns.
+    Like nullspace, a dense front end kept for the sympy oracle tests and
+    the benchmark tracer."""
+    return len(_reduced_rows(_columns(m)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import XYPoly, accumulate, terms_rank
+from .arith import XYPoly, accumulate
 from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_reduced,
                   euler_operator, prolonged_action, require_field_u,
                   substituted)
@@ -209,11 +209,3 @@ def count_order_n_currents(n: int) -> int:
         count += 1
     return count
 
-
-def currents_independent(currents) -> bool:
-    """Exact linear independence of (T, X) pairs as jet polynomials."""
-    rows = [{(side, mono, xy): c
-             for side, comp in (("T", cur.t), ("X", cur.x))
-             for mono, coeff in comp.terms.items()
-             for xy, c in coeff.terms.items()} for cur in currents]
-    return terms_rank(rows) == len(rows)

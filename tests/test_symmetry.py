@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kgsym.arith import RationalMatrix, XYPoly, nullspace, sparse_kernel
+from kgsym.arith import XYPoly, sparse_kernel, terms_rank
 from kgsym.jet import ReducedJetPoly, apply_operator_reduced, reduced_J
 from kgsym.opalg import monomial_op
 from kgsym.symmetry import (DeterminingSystem, graded_dimension,
@@ -97,21 +97,28 @@ def test_determining_rows_have_one_weight(n):
             assert len({_weight(unknown) for unknown in row}) == 1
 
 
-def _dense_kernel(images):
-    """nullspace of the whole matrix built from the images, one row per
-    key, as sparse {column: value} vectors."""
+def _sympy_matrix(images):
+    """The whole matrix built from the images, one row per key, in sympy:
+    its nullspace and rank are a reference independent of kgsym.arith."""
+    sympy = pytest.importorskip("sympy")
     keys = sorted({key for image in images for key in image})
-    entries = [[image.get(key, 0) for image in images] for key in keys]
-    matrix = RationalMatrix(len(keys), len(images), entries)
-    return [{c: v for c, v in enumerate(vec) if v}
-            for vec in nullspace(matrix)]
+    return sympy.Matrix([[sympy.Rational(image.get(key, 0))
+                          for image in images] for key in keys])
+
+
+def _dense_kernel(matrix):
+    """sympy's nullspace of matrix as sparse {column: value} vectors."""
+    return [{c: Fraction(int(v.p), int(v.q)) for c, v in enumerate(vec) if v}
+            for vec in matrix.nullspace()]
 
 
 @pytest.mark.parametrize("n, d", [(1, 3), (2, 4), (3, 5), (0, 8)])
 def test_blocked_solve_equals_dense_kernel(n, d):
     system = DeterminingSystem.assemble(n, d)
     kernel = sparse_kernel(system.images)
-    assert kernel == _dense_kernel(system.images)
+    matrix = _sympy_matrix(system.images)
+    assert kernel == _dense_kernel(matrix)
+    assert terms_rank(system.images) == matrix.rank()
     expected = []
     for vec in kernel:
         eta = ReducedJetPoly.zero()
@@ -149,6 +156,8 @@ SPARSE_MAPS = {
     "empty": [{}, {}, {3: 2}, {}],
     "duplicates": [{5: 1, 0: 2}, {2: 1}, {5: 1, 0: 2}, {2: 1}, {5: 1, 0: 2}],
     "dense": _random_map(7, dense=True),
+    # explicit zeros: key 2 holds no equation and links no unknowns
+    "explicit_zero": [{0: 1, 2: 0}, {1: Fraction(1, 2), 2: 0}, {0: 3, 1: 0}],
     **{f"random{seed}": _random_map(seed) for seed in range(12)},
 }
 
@@ -157,7 +166,9 @@ SPARSE_MAPS = {
 def test_sparse_kernel_equals_dense_kernel(name):
     images = SPARSE_MAPS[name]
     kernel = sparse_kernel(images)
-    assert kernel == _dense_kernel(images)
+    matrix = _sympy_matrix(images)
+    assert kernel == _dense_kernel(matrix)
+    assert terms_rank(images) == matrix.rank()
     for vec in kernel:
         assert list(vec) == sorted(vec)
 
