@@ -5,6 +5,15 @@ composition (noncommutative) and the atoms are Dx, Dy, J, rationals and the
 multiplication variables x, y. In jet expressions `*` is the commutative
 product and the atoms are u[k], f[k] (integer k), x, y and rationals.
 Printing either kind of value yields text that parses back to an equal value.
+
+Every atom but J is one monomial c * x^i * y^j * key, where key is the
+derivative orders (p, q) of Dx^p Dy^q or the sorted jet variables. A product
+or power of monomials that is again a monomial is folded into one while
+parsing: in the jet grammar always (a power up to MAX_EXPONENT jet
+variables), and in the operator grammar when no derivative stands left of
+an x or y. Only a sum, J, or a product or power the fold cannot express
+lifts its operands into a TDOperator or ReducedJetPoly and uses their ring
+operations, so `Dx*x` still composes to `x*Dx + 1`.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .arith import XYPoly, as_rational
+from .arith import XYPoly, as_rational, from_terms
 from .jet import ReducedJetPoly
 from .opalg import TDOperator
 
@@ -32,9 +41,15 @@ _SYMBOLS = "+-*^()[]/"
 # recursion limit; deeper input is a ParseError.
 MAX_NESTING = 100
 
-# Largest exponent accepted after ^. A power is computed by repeated
-# multiplication, so this bounds the number of products one ^ can ask for.
+# Largest exponent accepted after ^. A power of a monomial only multiplies
+# its exponents, but any other power is computed by repeated multiplication,
+# so this bounds the number of products one ^ can ask for.
 MAX_EXPONENT = 1000
+
+# Largest |k| accepted in a jet variable u[k] or f[k]. Total derivatives and
+# the prolonged action shift an index one step at a time, so their work
+# grows with |k|.
+MAX_JET_INDEX = 1000
 
 # Most digits accepted in one integer: the interpreter's default limit on
 # converting between int and text, so every coefficient the printers can
@@ -53,6 +68,8 @@ def _int(tok) -> int:
 
 
 def _tokenize(text: str):
+    """The tokens of text. An INT is a run of ASCII digits 0-9; any other
+    digit character, such as a superscript, is an unexpected character."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -60,15 +77,15 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(("INT", text[start:i], start))
             continue
         if ch.isalpha():
             start = i
-            while i < n and text[i].isalnum():
+            while i < n and (text[i].isalpha() or "0" <= text[i] <= "9"):
                 i += 1
             tokens.append(("NAME", text[start:i], start))
             continue
@@ -81,8 +98,27 @@ def _tokenize(text: str):
     return tokens
 
 
+class _Term:
+    """The monomial c * x^i * y^j * key: c a rational in normal form, key
+    the grammar's monomial key."""
+
+    __slots__ = ("c", "i", "j", "key")
+
+    def __init__(self, c, i, j, key):
+        self.c, self.i, self.j, self.key = c, i, j, key
+
+    def __neg__(self):
+        return _Term(-self.c, self.i, self.j, self.key)
+
+
 class _Parser:
-    """Shared expression skeleton; subclasses provide the atoms."""
+    """Shared expression skeleton; subclasses provide the atoms, the value
+    type, and when a product of two _Terms or a power of one is a _Term.
+
+    The methods under parse return a _Term while the fold holds and a value
+    of value_type otherwise; lift turns a _Term into that value."""
+
+    value_type = None
 
     def __init__(self, text: str):
         self.text = text
@@ -104,26 +140,41 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def lift(self, value):
+        """value as the value type: one from_terms for a _Term."""
+        if type(value) is not _Term:
+            return value
+        terms = ({value.key: from_terms(XYPoly, {(value.i, value.j): value.c})}
+                 if value.c else {})
+        return from_terms(self.value_type, terms)
+
     def parse(self):
         value = self.expression()
         tok = self.peek()
         if tok[0] != "END":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return value
+        return self.lift(value)
 
     def expression(self):
         value = self.factor()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            right = self.factor()
-            value = value + right if op == "+" else value - right
+            left, right = self.lift(value), self.lift(self.factor())
+            value = left + right if op == "+" else left - right
         return value
 
     def factor(self):
         value = self.unary()
         while self.peek()[0] == "*":
             self.advance()
-            value = value * self.unary()
+            right = self.unary()
+            key = (self.product_key(value, right)
+                   if type(value) is _Term and type(right) is _Term else None)
+            if key is None:
+                value = self.lift(value) * self.lift(right)
+            else:
+                value = _Term(as_rational(value.c * right.c),
+                              value.i + right.i, value.j + right.j, key)
         return value
 
     def unary(self):
@@ -141,11 +192,16 @@ class _Parser:
             if tok[0] == "-":
                 raise ParseError("negative exponents are not allowed", tok[2])
             tok = self.expect("INT")
-            exponent = _int(tok)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds the bound "
+            e = _int(tok)
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} exceeds the bound "
                                  f"{MAX_EXPONENT}", tok[2])
-            value = value ** exponent
+            key = self.power_key(value, e) if type(value) is _Term else None
+            if key is None:
+                value = self.lift(value) ** e
+            else:
+                value = _Term(as_rational(value.c ** e), value.i * e,
+                              value.j * e, key)
         return value
 
     def rational(self, first):
@@ -179,46 +235,94 @@ class _Parser:
     def atom(self):
         raise NotImplementedError
 
+    def product_key(self, a: _Term, b: _Term):
+        """The key of the monomial a * b, or None when a * b is none."""
+        raise NotImplementedError
+
+    def power_key(self, a: _Term, e: int):
+        """The key of the monomial a ** e, or None when a ** e is none."""
+        raise NotImplementedError
+
 
 class _OperatorParser(_Parser):
-    def atom(self) -> TDOperator:
+    value_type = TDOperator
+
+    def atom(self):
         tok = self.advance()
         kind, value, pos = tok
         if kind == "INT":
-            return TDOperator.mul_by(self.rational(tok))
+            return _Term(self.rational(tok), 0, 0, (0, 0))
         if kind == "NAME":
             if value == "Dx":
-                return TDOperator.dx()
+                return _Term(1, 0, 0, (1, 0))
             if value == "Dy":
-                return TDOperator.dy()
+                return _Term(1, 0, 0, (0, 1))
             if value == "J":
                 return TDOperator.j()
-            if value in ("x", "y"):
-                return TDOperator.mul_by(XYPoly.variable(value))
+            if value == "x":
+                return _Term(1, 1, 0, (0, 0))
+            if value == "y":
+                return _Term(1, 0, 1, (0, 0))
             raise ParseError(f"unknown operator atom {value!r}", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
 
+    # x and y commute with each other and Dx with Dy, so a * b is the
+    # monomial with added exponents unless a has a derivative and b an x or
+    # y: then Leibniz adds lower-order terms (Dx*x = x*Dx + 1).
+
+    def product_key(self, a, b):
+        if a.key == (0, 0) or b.i == b.j == 0:
+            return (a.key[0] + b.key[0], a.key[1] + b.key[1])
+        return None
+
+    def power_key(self, a, e):
+        if a.key == (0, 0) or a.i == a.j == 0:
+            return (a.key[0] * e, a.key[1] * e)
+        return None
+
 
 class _JetParser(_Parser):
-    def atom(self) -> ReducedJetPoly:
+    value_type = ReducedJetPoly
+
+    def atom(self):
         tok = self.advance()
         kind, value, pos = tok
         if kind == "INT":
-            return ReducedJetPoly.from_poly(self.rational(tok))
+            return _Term(self.rational(tok), 0, 0, ())
         if kind == "NAME":
-            if value in ("x", "y"):
-                return ReducedJetPoly.from_poly(XYPoly.variable(value))
+            if value == "x":
+                return _Term(1, 1, 0, ())
+            if value == "y":
+                return _Term(1, 0, 1, ())
             if value in ("u", "f"):
                 self.expect("[")
                 sign = 1
                 if self.peek()[0] == "-":
                     self.advance()
                     sign = -1
-                index = _int(self.expect("INT"))
+                tok = self.expect("INT")
+                index = sign * _int(tok)
                 self.expect("]")
-                return ReducedJetPoly.var(value, sign * index)
+                if abs(index) > MAX_JET_INDEX:
+                    raise ParseError(f"jet index {index} exceeds the bound "
+                                     f"|k| <= {MAX_JET_INDEX}", tok[2])
+                return _Term(1, 0, 0, ((value, index),))
             raise ParseError(f"unknown jet atom {value!r}", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
+
+    # The product is commutative, so every product and power of monomials
+    # is a monomial. A monomial repeats each variable by its exponent, so a
+    # folded power holds at most MAX_EXPONENT variables: a nested power such
+    # as ((u[0]^1000)^1000)^1000 would otherwise allocate 10^9 of them in
+    # one step, where the ring power builds them one product at a time.
+
+    def product_key(self, a, b):
+        return tuple(sorted(a.key + b.key))
+
+    def power_key(self, a, e):
+        if len(a.key) * e <= MAX_EXPONENT:
+            return tuple(sorted(a.key * e))
+        return None
 
 
 def parse_operator(text: str) -> TDOperator:

@@ -245,6 +245,26 @@ def test_long_integer_rejected(capsys, command, text):
     assert "position" in err and "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("text, position", [
+    ("\u00b2", 0), ("Dx^\u00b2", 3), ("\u0663*x", 0)])
+def test_non_ascii_digits_rejected(capsys, text, position):
+    code, out, err = run_cli(capsys, "adjoint", text)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: unexpected character")
+    assert f"(at position {position})" in err
+
+
+def test_jet_index_bound_rejected(capsys):
+    code, out, err = run_cli(capsys, "bracket", "--", "u[10000000]", "u[1]")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: jet index 10000000 ")
+    assert "1000 (at position 2)" in err
+
+
 def test_unprintable_coefficient_rejected(capsys):
     # Squaring a 3000-digit integer gives a 6000-digit coefficient, past
     # the interpreter's 4300-digit limit on printing an int.

@@ -8,8 +8,8 @@ import pytest
 from kgsym.arith import XYPoly
 from kgsym.jet import ReducedJetPoly, reduced_J
 from kgsym.opalg import TDOperator, basis_op, kg_operator
-from kgsym.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, ParseError,
-                          parse_jet, parse_operator)
+from kgsym.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_JET_INDEX,
+                          MAX_NESTING, ParseError, parse_jet, parse_operator)
 from kgsym.verify import random_operator, random_reduced_jet
 
 
@@ -141,3 +141,146 @@ def test_round_trip_awkward_coefficients():
     p = ReducedJetPoly({(("u", -3), ("u", -3), ("f", 1)):
                         XYPoly({(0, 2): Fraction(5, 3), (1, 0): -2})})
     assert parse_jet(str(p)) == p
+
+
+@pytest.mark.parametrize("text, position", [
+    ("\u00b2", 0), ("Dx^\u00b2", 3), ("\u0663*x", 0), ("Dx\u00b2", 2),
+    ("x*\uff11", 2), ("u[\u0661]", 2)])
+def test_non_ascii_digits_rejected(text, position):
+    # Only 0-9 make an integer; a superscript, Arabic-Indic or fullwidth
+    # digit is an unexpected character at its own position.
+    for parse in (parse_operator, parse_jet):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert excinfo.value.position == position
+        assert str(excinfo.value).startswith("unexpected character")
+
+
+def test_jet_index_bound():
+    assert parse_jet(f"u[{MAX_JET_INDEX}]*f[-{MAX_JET_INDEX}]") == (
+        ReducedJetPoly.var("u", MAX_JET_INDEX)
+        * ReducedJetPoly.var("f", -MAX_JET_INDEX))
+    for text, index, position in (("u[1001]", "1001", 2),
+                                  ("x*f[-10000000]", "-10000000", 5)):
+        with pytest.raises(ParseError) as excinfo:
+            parse_jet(text)
+        assert excinfo.value.position == position
+        message = str(excinfo.value)
+        assert f"jet index {index} " in message
+        assert str(MAX_JET_INDEX) in message
+
+
+# Differential test of the monomial fold: random expressions over each
+# grammar are built twice, as text for the parser and as a value made
+# directly with the TDOperator / ReducedJetPoly ring operations, following
+# the grammar's precedence (a unary sign applies to one power).
+
+_X, _Y = XYPoly.variable("x"), XYPoly.variable("y")
+_RATIONALS = ("0", "1", "3", "4/2", "2/3", "3/2", "5/7")
+_OPERATOR_ATOMS = {"Dx": TDOperator.dx(), "Dy": TDOperator.dy(),
+                   "J": TDOperator.j(), "x": TDOperator.mul_by(_X),
+                   "y": TDOperator.mul_by(_Y),
+                   **{r: TDOperator.mul_by(Fraction(r)) for r in _RATIONALS}}
+_JET_ATOMS = {"x": ReducedJetPoly.from_poly(_X),
+              "y": ReducedJetPoly.from_poly(_Y),
+              **{f"{w}[{k}]": ReducedJetPoly.var(w, k)
+                 for w in "uf" for k in (-2, 0, 1, 3)},
+              **{r: ReducedJetPoly.from_poly(Fraction(r)) for r in _RATIONALS}}
+
+
+def _random_expression(rng, atoms, depth):
+    text, value = _random_factor(rng, atoms, depth)
+    for _ in range(rng.randint(0, 2)):
+        t, v = _random_factor(rng, atoms, depth)
+        if rng.random() < 0.5:
+            text, value = f"{text} + {t}", value + v
+        else:
+            text, value = f"{text} - {t}", value - v
+    return text, value
+
+
+def _random_factor(rng, atoms, depth):
+    text, value = _random_unary(rng, atoms, depth)
+    for _ in range(rng.randint(0, 2)):
+        t, v = _random_unary(rng, atoms, depth)
+        text, value = f"{text}*{t}", value * v
+    return text, value
+
+
+def _random_unary(rng, atoms, depth):
+    signs = rng.choice(("", "", "", "-", "+", "--", "-+-"))
+    text, value = _random_power(rng, atoms, depth)
+    return signs + text, -value if signs.count("-") % 2 else value
+
+
+def _random_power(rng, atoms, depth):
+    if depth and rng.random() < 0.25:
+        text, value = _random_expression(rng, atoms, depth - 1)
+        text = f"({text})"
+    else:
+        text = rng.choice(sorted(atoms))
+        value = atoms[text]
+    if rng.random() < 0.3:
+        e = rng.randint(0, 3)
+        text, value = f"{text}^{e}", value ** e
+    return text, value
+
+
+def _coefficient_reprs(value):
+    """Every coefficient with its key, by repr, so 3 and Fraction(3, 1)
+    differ."""
+    return sorted((repr(key), repr(ij), repr(c))
+                  for key, poly in value.terms.items()
+                  for ij, c in poly.terms.items())
+
+
+def _assert_same(parsed, expected, text):
+    assert parsed == expected, text
+    assert _coefficient_reprs(parsed) == _coefficient_reprs(expected), text
+
+
+@pytest.mark.parametrize("parse, atoms, seed", [
+    (parse_operator, _OPERATOR_ATOMS, 1201), (parse_jet, _JET_ATOMS, 1202)])
+def test_monomial_fold_matches_ring_operations(parse, atoms, seed):
+    rng = random.Random(seed)
+    for _ in range(500):
+        text, value = _random_expression(rng, atoms, depth=2)
+        _assert_same(parse(text), value, text)
+
+
+def test_monomial_fold_keeps_noncommuting_products():
+    dx, dy, j = TDOperator.dx(), TDOperator.dy(), TDOperator.j()
+    x, y = TDOperator.mul_by(_X), TDOperator.mul_by(_Y)
+    third = TDOperator.mul_by(Fraction(2, 3))
+    for text, value in (("Dx*x", dx * x),
+                        ("Dy^2*y^2*J", dy ** 2 * y ** 2 * j),
+                        ("x*Dx*x", x * dx * x),
+                        ("(x*Dx)^2", (x * dx) ** 2),
+                        ("-(Dx*y^2)^3*x", -((dx * y ** 2) ** 3) * x),
+                        ("(2/3*Dx)^3*x*3/2", (third * dx) ** 3 * x
+                         * TDOperator.mul_by(Fraction(3, 2))),
+                        ("Dx^2*Dy*x^3*y", dx ** 2 * dy * x ** 3 * y),
+                        ("(Dx + 1)*x", (dx + TDOperator.identity()) * x)):
+        _assert_same(parse_operator(text), value, text)
+    assert parse_operator("Dx*x") != parse_operator("x*Dx")
+
+
+def test_jet_power_past_the_fold_bound():
+    # A power of more than MAX_EXPONENT jet variables is not folded; both
+    # sides of the bound agree with the ring power.
+    u0, u1 = ReducedJetPoly.var("u", 0), ReducedJetPoly.var("u", 1)
+    for e in (MAX_EXPONENT // 2, MAX_EXPONENT // 2 + 1):
+        text = f"(2*u[0]*u[1])^{e}"
+        _assert_same(parse_jet(text), (2 * u0 * u1) ** e, text)
+
+
+def test_monomial_fold_normalizes_coefficients():
+    # Integral products and powers of fractions are plain ints.
+    for text in ("2/3*3/2*x", "(2/3)^0", "(2/3)^0*Dx", "4/2*Dy",
+                 "(3/2*x)^2*4/9"):
+        op = parse_operator(text)
+        assert all(type(c) is int for poly in op.terms.values()
+                   for c in poly.terms.values()), text
+    for text in ("2/3*u[0]*3/2", "(5/7)^0*u[0]", "(5/7*u[0])^0*u[0]"):
+        assert _coefficient_reprs(parse_jet(text)) == [
+            ("(('u', 0),)", "(0, 0)", "1")], text
