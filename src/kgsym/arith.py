@@ -27,6 +27,13 @@ def _integral(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
+def common_denominator(polys) -> int:
+    """The lcm of the denominators of every coefficient of the XYPolys
+    polys: the least positive integer whose product with each is integral."""
+    return lcm(*(c.denominator for poly in polys
+                 for c in poly.terms.values() if type(c) is not int))
+
+
 def as_rational(value):
     """value as a rational scalar: an int when it is integral, else a
     Fraction; TypeError unless it is an int or a Fraction."""

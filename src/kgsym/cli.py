@@ -98,14 +98,26 @@ def _result_lines(result: dict):
         yield f"all passed: {str(result['all_passed']).lower()}"
 
 
-def _nonnegative(args: dict, key: str) -> int:
-    """args[key], which must not be negative; the error names the option."""
-    value = args[key]
+def _nonnegative_int(name: str, text: str) -> int:
+    """text as a nonnegative int; the errors name the argument name. Only an
+    optional '-' and ASCII digits 0-9 are read as an integer: int() would
+    also take other Unicode digits, underscores, '+' and spaces."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(f"{name} must be an integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:      # past the interpreter's int/text digit limit
+        raise UsageError(f"{name} has {len(digits)} digits, past the limit "
+                         f"{sys.get_int_max_str_digits()}") from None
     if value < 0:
-        option = "--" + key.replace("_", "-")
-        raise UsageError(
-            f"{option} must be a nonnegative integer, got {value}")
+        raise UsageError(f"{name} must be a nonnegative integer, got {value}")
     return value
+
+
+def _nonnegative(args: dict, key: str) -> int:
+    """The option args[key] as a nonnegative int; the errors name it."""
+    return _nonnegative_int("--" + key.replace("_", "-"), args[key])
 
 
 def _cmd_dims(args: dict) -> Report:
@@ -207,14 +219,8 @@ def _cmd_current(args: dict) -> Report:
     elif family in MINIMAL_FAMILIES:
         if len(rest) != 2:
             raise UsageError(f"current {family} needs KP and LP")
-        try:
-            kp, lp = int(rest[0]), int(rest[1])
-        except ValueError as exc:
-            raise UsageError(f"KP and LP must be integers: {exc}") from None
-        for name, value in (("KP", kp), ("LP", lp)):
-            if value < 0:
-                raise UsageError(
-                    f"{name} must be a nonnegative integer, got {value}")
+        kp = _nonnegative_int("KP", rest[0])
+        lp = _nonnegative_int("LP", rest[1])
         current = current_minimal(family, kp, lp)
         arguments = {"family": family, "kp": str(kp), "lp": str(lp)}
     else:
@@ -229,10 +235,11 @@ def _cmd_current(args: dict) -> Report:
 
 
 def _cmd_verify_all(args: dict) -> Report:
-    results = verify.run_all(max_order=_nonnegative(args, "max_order"))
+    max_order = _nonnegative(args, "max_order")
+    results = verify.run_all(max_order=max_order)
     all_passed = all(r.passed for r in results)
     return Report(
-        command="verify-all", arguments={"max_order": str(args["max_order"])},
+        command="verify-all", arguments={"max_order": str(max_order)},
         result={"kind": "verification",
                 "checks": [{"name": r.name, "passed": r.passed,
                             "detail": r.detail} for r in results],
@@ -279,11 +286,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dims", help="dimension table of linear symmetries")
-    p.add_argument("--max-order", type=int, default=3)
+    p.add_argument("--max-order", default="3")
 
     p = sub.add_parser("basis", help="solve the determining system")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--order", required=True)
+    p.add_argument("--degree", default=None)
 
     p = sub.add_parser("check-symmetry",
                        help="test the on-shell symmetry criterion")
@@ -306,7 +313,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variational-basis",
                        help="skew basis operators of one order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", required=True)
 
     p = sub.add_parser("current", help="construct a verified conserved current")
     p.add_argument("family",
@@ -316,7 +323,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         "for Ctilde, optionally 'barred' for C0")
 
     p = sub.add_parser("verify-all", help="run the full verification suite")
-    p.add_argument("--max-order", type=int, default=5)
+    p.add_argument("--max-order", default="5")
 
     return parser
 

@@ -57,8 +57,13 @@ def _ring(p, other, combine):
 
 
 def _times(p, other):
-    """p * other for another polynomial of p's class, or a coefficient."""
-    if isinstance(other, type(p)):
+    """p * other for another polynomial of p's class, or a coefficient.
+
+    A square p * p sums each unordered pair of monomials once, the
+    off-diagonal products doubled: the jet product is commutative."""
+    if other is p:
+        terms = accumulate({}, _square(list(p.terms.items())))
+    elif isinstance(other, type(p)):
         terms = mul_terms(p.terms, other.terms,
                           lambda m1, m2: tuple(sorted(m1 + m2)))
     elif isinstance(other, (XYPoly, int, Fraction)):
@@ -66,6 +71,16 @@ def _times(p, other):
     else:
         return NotImplemented
     return from_terms(type(p), terms)
+
+
+def _square(items):
+    """(monomial, coefficient) pairs of the square of the terms items: each
+    diagonal product once, each unordered off-diagonal pair once, doubled."""
+    for i, (m1, c1) in enumerate(items):
+        yield tuple(sorted(m1 + m1)), c1 * c1
+        c1 = c1 * 2
+        for m2, c2 in items[i + 1:]:
+            yield tuple(sorted(m1 + m2)), c1 * c2
 
 
 def _partial(p, var):
@@ -352,16 +367,29 @@ def apply_operator_free(a: TDOperator) -> FreeJetPoly:
 def euler_operator(p: FreeJetPoly) -> FreeJetPoly:
     """Euler operator: sum of (-Dx)^a (-Dy)^b applied to dp/du_(a,b).
 
-    Annihilates exactly the total divergences."""
-    result = FreeJetPoly.zero()
-    for (a, b) in sorted(p.jet_variables()):
+    Annihilates exactly the total divergences. Evaluated by Horner's rule
+    on the signed partials (-1)^(a+b) dp/du_(a,b): an inner sum in Dy for
+    each a, then an outer one in Dx, so each step takes one total
+    derivative, not one per jet variable and order."""
+    signed = {}
+    for (a, b) in p.jet_variables():
         term = p.partial(a, b)
-        for _ in range(a):
-            term = term.total_derivative("x")
-        for _ in range(b):
-            term = term.total_derivative("y")
-        result = result + (term if (a + b) % 2 == 0 else -term)
+        signed.setdefault(a, {})[b] = -term if (a + b) % 2 else term
+    result = FreeJetPoly.zero()
+    for a in range(max(signed, default=-1), -1, -1):
+        inner = FreeJetPoly.zero()
+        row = signed.get(a, {})
+        for b in range(max(row, default=-1), -1, -1):
+            inner = _horner_step(inner, "y", row.get(b))
+        result = _horner_step(result, "x", inner)
     return result
+
+
+def _horner_step(acc, var, term):
+    """D_var(acc) + term, one step of a Horner sum; term may be None."""
+    if acc:
+        acc = acc.total_derivative(var)
+    return acc + term if term else acc
 
 
 def substituted(mono, sub):

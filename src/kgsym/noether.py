@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import XYPoly, accumulate
+from .arith import XYPoly, accumulate, common_denominator
 from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_reduced,
                   euler_operator, prolonged_action, require_field_u,
                   substituted)
@@ -25,9 +25,21 @@ MINIMAL_FAMILIES = ("C1", "C1bar", "C2", "C2bar")
 CURRENT_FAMILIES = ("C0", "Ctilde", *MINIMAL_FAMILIES, "GEN")
 
 
+def _integer_multiple(value):
+    """value, a TDOperator or jet polynomial, times the common denominator
+    of its coefficients: a nonzero multiple with integer coefficients, on
+    which a test whose answer no nonzero constant factor changes runs
+    without Fraction arithmetic."""
+    den = common_denominator(value.terms.values())
+    return value if den == 1 else value * den
+
+
 def is_variational_linear(a: TDOperator) -> bool:
     """True iff adjoint(a) o L + adjoint(L) o a is the zero operator, where
-    L = Dx*Dy - 1 is the (formally self-adjoint) equation operator."""
+    L = Dx*Dy - 1 is the (formally self-adjoint) equation operator. The
+    answer is the same for every nonzero multiple of a, so the test runs on
+    the integer one."""
+    a = _integer_multiple(a)
     kg = kg_operator()
     return (a.adjoint().compose(kg) + kg.adjoint().compose(a)).is_zero()
 
@@ -81,11 +93,12 @@ def current_C0(barred: bool = False) -> ConservedCurrent:
 
 def current_Ctilde(a: TDOperator) -> ConservedCurrent:
     """Uniform current (-u Dy Q u, u_x Q u) for a skew-adjoint operator Q;
-    its characteristic is 2 Q u."""
-    residue = skew_self_split(a)[1]
-    if not residue.is_zero():
+    its characteristic is 2 Q u. Skewness, Q + adjoint(Q) = 0, is tested on
+    the integer multiple of Q."""
+    scaled = _integer_multiple(a)
+    if scaled + scaled.adjoint():
         raise ValueError(f"operator is not skew-adjoint; self-adjoint part "
-                         f"is {residue}")
+                         f"is {skew_self_split(a)[1]}")
     au = apply_operator_reduced(a)
     t = -ReducedJetPoly.var("u", 0) * au.total_derivative("y")
     x = ReducedJetPoly.var("u", 1) * au
@@ -158,8 +171,10 @@ def _lifted_var(v):
 
 def is_cl_characteristic(eta: ReducedJetPoly) -> bool:
     """True iff eta times the equation expression is a total divergence,
-    certified by the Euler operator annihilating the lifted product."""
-    lifted = _lift_free(eta)
+    certified by the Euler operator annihilating the lifted product. The
+    answer is the same for every nonzero multiple of eta, so the test runs
+    on the integer one."""
+    lifted = _lift_free(_integer_multiple(eta))
     equation = FreeJetPoly.var(1, 1) - FreeJetPoly.var(0, 0)
     return euler_operator(lifted * equation).is_zero()
 

@@ -209,16 +209,25 @@ def monomial_op(side: str, k: int, l: int, shift=0) -> TDOperator:
     """The word (J + shift)^k o Dx^l (side X) or (J + shift)^k o Dy^l
     (side Y), normal-ordered; shift is a rational constant. With e(m, n) =
     x^m y^n Dx^m Dy^n, (J + shift) o e(m, n) = (m - n + shift) e(m, n) +
-    e(m + 1, n) - e(m, n + 1), and e(m, n) o Dx^l = x^m y^n Dx^(m+l) Dy^n."""
+    e(m + 1, n) - e(m, n + 1), and e(m, n) o Dx^l = x^m y^n Dx^(m+l) Dy^n.
+
+    The recurrence runs in integers: with shift = a/b in lowest terms it
+    expands (b*J + a)^k, and each coefficient is divided by b^k once at the
+    end (an int shift has b = 1 and nothing is divided)."""
     if k < 0 or l < 0:
         raise ValueError("orders must be nonnegative")
     if side not in ("X", "Y"):
         raise ValueError(f"unknown side {side!r}")
     shift = as_rational(shift)
+    a, b = shift.numerator, shift.denominator
     word = {(0, 0): 1}
     for _ in range(k):
         word = accumulate({}, (t for (m, n), c in word.items() for t in (
-            ((m, n), c * (m - n + shift)), ((m + 1, n), c), ((m, n + 1), -c))))
+            ((m, n), c * (b * (m - n) + a)), ((m + 1, n), c * b),
+            ((m, n + 1), -c * b))))
+    if b != 1:
+        den = b ** k
+        word = {key: as_rational(Fraction(c, den)) for key, c in word.items()}
     p, q = (l, 0) if side == "X" else (0, l)
     return from_terms(TDOperator, {
         (m + p, n + q): from_terms(XYPoly, {(m, n): c})

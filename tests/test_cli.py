@@ -218,6 +218,49 @@ def test_negative_integer_arguments_rejected(capsys, argv, option):
     assert err.startswith("error: ") and option in err
 
 
+@pytest.mark.parametrize("argv, name, text", [
+    (["dims", "--max-order"], "--max-order", "\u0661"),
+    (["verify-all", "--max-order"], "--max-order", "\u0665"),
+    (["basis", "--order"], "--order", "\u0662"),
+    (["basis", "--order", "1", "--degree"], "--degree", "\uff13"),
+    (["basis", "--order", "1", "--degree"], "--degree", "\u00b3"),
+    (["variational-basis", "--order"], "--order", "1_1"),
+    (["dims", "--max-order"], "--max-order", "+3"),
+    (["dims", "--max-order"], "--max-order", " 3"),
+    (["dims", "--max-order"], "--max-order", "abc"),
+    (["dims", "--max-order"], "--max-order", "-"),
+    (["current", "C1bar", "0"], "LP", "\u0662"),
+    (["current", "C2", "3"], "LP", "1_0"),
+])
+def test_non_ascii_integer_arguments_rejected(capsys, argv, name, text):
+    # Only an optional '-' and ASCII digits 0-9 are an integer argument;
+    # int() alone would read Arabic-Indic digits, full-width digits,
+    # underscores, '+' and spaces.
+    code, out, err = run_cli(capsys, *argv, text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} must be an integer, got {text!r}\n"
+
+
+@pytest.mark.parametrize("kp", ["1_0", "-\u0661"])
+def test_non_ascii_kp_rejected(capsys, kp):
+    code, out, err = run_cli(capsys, "current", "C2", "--", kp, "0")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: KP must be an integer, got {kp!r}\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["dims", "--max-order", "9" * 5000], "--max-order"),
+    (["current", "C2", "0", "9" * 5000], "LP"),
+])
+def test_long_integer_argument_rejected(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} has 5000 digits, past the limit 4300\n"
+
+
 def test_deeply_nested_parentheses_rejected(capsys):
     code, out, err = run_cli(capsys, "adjoint", "(" * 1000 + "x" + ")" * 1000)
     assert code == 2

@@ -236,3 +236,49 @@ def test_jet_text_forms():
     assert str(ReducedJetPoly.from_poly(Fraction(3, 2))) == "3/2"
     assert str(ReducedJetPoly.zero()) == "0"
     assert str(uf(1, 1) - uf(0, 0)) == "u(1,1) - u(0,0)"
+
+
+def _coefficient_reprs(p):
+    """Every coefficient of p with its keys, by repr: 3 and Fraction(3)
+    are equal but print differently."""
+    return sorted((mono, key, repr(c)) for mono, poly in p.terms.items()
+                  for key, c in poly.terms.items())
+
+
+def _euler_term_by_term(p):
+    """The Euler operator as its definition reads: (-Dx)^a (-Dy)^b applied
+    to dp/du_(a,b), one variable at a time."""
+    result = FreeJetPoly.zero()
+    for (a, b) in sorted(p.jet_variables()):
+        term = p.partial(a, b)
+        for _ in range(a):
+            term = term.total_derivative("x")
+        for _ in range(b):
+            term = term.total_derivative("y")
+        result = result + (term if (a + b) % 2 == 0 else -term)
+    return result
+
+
+def test_euler_operator_matches_term_by_term_sum():
+    rng = random.Random(38)
+    for _ in range(240):
+        p = random_free_jet(rng, max_order=6, max_degree=3, max_terms=5)
+        expected = _euler_term_by_term(p)
+        assert euler_operator(p) == expected, p
+        assert _coefficient_reprs(euler_operator(p)) == _coefficient_reprs(
+            expected), p
+
+
+def test_square_matches_general_product():
+    rng = random.Random(39)
+    for _ in range(200):
+        for p in (random_reduced_jet(rng, max_order=3, max_degree=3,
+                                     max_terms=6),
+                  random_free_jet(rng, max_order=4, max_degree=3,
+                                  max_terms=6)):
+            general = p * type(p)(dict(p.terms))
+            assert p * p == general, p
+            assert _coefficient_reprs(p * p) == _coefficient_reprs(general)
+            assert _canonical(p * p, _is_reduced_var
+                              if isinstance(p, ReducedJetPoly)
+                              else _is_free_var)

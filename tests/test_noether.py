@@ -293,3 +293,82 @@ def test_ctilde_currents_match_free_route():
         assert c.t == reduce(-FreeJetPoly.var(0, 0) * au.total_derivative("y"))
         assert c.x == reduce(FreeJetPoly.var(1, 0) * au)
         assert c.characteristic == apply_operator_reduced(op) * 2
+
+
+SCALES = (-1, Fraction(5, 2), Fraction(-3, 7), Fraction(1, 9))
+
+
+def basis_shapes(max_total):
+    """Every basis word Q[k,l] and Qbar[k,l] with k + l <= max_total, both
+    parities, with whether it is skew-adjoint (k + l odd)."""
+    for total in range(max_total + 1):
+        for k in range(total + 1):
+            l = total - k
+            for kind in ("Q", "Qbar") if l >= 1 else ("Q",):
+                yield basis_op(kind, k, l), total % 2 == 1
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_variational_test_is_scale_invariant(c):
+    # The test runs on the integer multiple of its input; every nonzero
+    # multiple must get the unscaled answer.
+    for op, skew in basis_shapes(7):
+        assert is_variational_linear(op) == skew
+        assert is_variational_linear(op.scale(c)) == skew, (op, c)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_cl_characteristic_test_is_scale_invariant(c):
+    answers = set()
+    for op, skew in basis_shapes(5):
+        eta = apply_operator_reduced(op)
+        answer = is_cl_characteristic(eta)
+        assert is_cl_characteristic(eta * c) == answer, (op, c)
+        answers.add((skew, answer))
+    # Skew words give characteristics, the self-adjoint ones here do not.
+    assert answers == {(True, True), (False, False)}
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_ctilde_of_scaled_skew_words(c):
+    for op in skew_basis_ops(5):
+        base = current_Ctilde(op)
+        scaled = current_Ctilde(op.scale(c))
+        # The current of the operator itself, not of its integer multiple.
+        for got, want in ((scaled.t, base.t * c), (scaled.x, base.x * c),
+                          (scaled.characteristic, base.characteristic * c)):
+            assert got == want
+            assert str(got) == str(want)
+        assert scaled.order == base.order
+
+
+def mixed_operator():
+    """A skew word plus the non-skew x*Dx/3."""
+    return basis_op("Qbar", 1, 2) + TDOperator.mul_by(X).compose(
+        TDOperator.dx()).scale(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_ctilde_rejects_scaled_non_skew_operator(c):
+    for op in (basis_op("Q", 1, 1), mixed_operator(), TDOperator.identity()):
+        scaled = op.scale(c)
+        with pytest.raises(ValueError) as excinfo:
+            current_Ctilde(scaled)
+        residue = (scaled + scaled.adjoint()).scale(Fraction(1, 2))
+        assert str(excinfo.value) == (
+            f"operator is not skew-adjoint; self-adjoint part is {residue}")
+
+
+def test_ctilde_rejection_text():
+    # The residue is printed from the operator as given, not from the
+    # integer multiple the test runs on.
+    scaled = basis_op("Q", 1, 1).scale(Fraction(5, 2))
+    with pytest.raises(ValueError) as excinfo:
+        current_Ctilde(scaled)
+    assert str(excinfo.value) == (
+        "operator is not skew-adjoint; self-adjoint part is "
+        "(5/2*x)*Dx^2 + (-5/2*y)*Dx*Dy + 5/4*Dx")
+    with pytest.raises(ValueError) as excinfo:
+        current_Ctilde(mixed_operator().scale(Fraction(-3, 7)))
+    assert str(excinfo.value) == (
+        "operator is not skew-adjoint; self-adjoint part is 1/14")

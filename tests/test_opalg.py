@@ -191,6 +191,28 @@ def test_monomial_op_matches_composition(side):
                     side, k, l, shift), (side, k, l, shift)
 
 
+@pytest.mark.parametrize("side", ["X", "Y"])
+def test_monomial_op_matches_composition_for_coprime_denominators(side):
+    # The recurrence expands (b*J + a)^k in integers for the shift a/b and
+    # divides by b^k at the end; compare with Fraction arithmetic throughout.
+    big = Fraction(-12345678901234567891, 10 ** 19 + 9)
+    assert len(str(big.denominator)) == 20
+    for shift in (Fraction(1, 3), Fraction(-5, 4), Fraction(7, 9),
+                  Fraction(-2, 9), big):
+        for k in range(7):
+            for l in range(4):
+                word = monomial_op(side, k, l, shift)
+                expected = _word_by_composition(side, k, l, shift)
+                assert word == expected, (side, k, l, shift)
+                assert _coefficient_reprs(word) == _coefficient_reprs(
+                    expected), (side, k, l, shift)
+
+
+def _coefficient_reprs(op):
+    return sorted((key, xy, repr(c)) for key, poly in op.terms.items()
+                  for xy, c in poly.terms.items())
+
+
 def test_monomial_op_rejects_bad_input():
     with pytest.raises(TypeError):
         monomial_op("X", 2, 1, 0.5)
