@@ -262,6 +262,8 @@ class XYPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.is_constant():      # equal to, so hashed as, its value
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):

@@ -98,10 +98,20 @@ def _result_lines(result: dict):
         yield f"all passed: {str(result['all_passed']).lower()}"
 
 
-def _nonnegative_int(name: str, text: str) -> int:
-    """text as a nonnegative int; the errors name the argument name. Only an
-    optional '-' and ASCII digits 0-9 are read as an integer: int() would
-    also take other Unicode digits, underscores, '+' and spaces."""
+# Largest value of each integer argument. Work grows steeply with orders and
+# degrees; at these bounds one run takes at most about 12 s on a 2-core host
+# (verify-all --max-order 16; variational-basis --order 81 takes 10 s).
+MAX_ORDER = 16          # --max-order of dims and verify-all
+MAX_BASIS_ORDER = 40    # --order of basis
+MAX_BASIS_DEGREE = 42   # --degree of basis, so the default order + 2 fits
+MAX_SKEW_ORDER = 81     # --order of variational-basis
+MAX_WORD_ORDER = 40     # KP and LP of current
+
+
+def _nonnegative_int(name: str, text: str, bound: int) -> int:
+    """text as an int from 0 to bound; the errors name the argument name.
+    Only an optional '-' and ASCII digits 0-9 are read as an integer: int()
+    would also take other Unicode digits, underscores, '+' and spaces."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise UsageError(f"{name} must be an integer, got {text!r}")
@@ -112,16 +122,18 @@ def _nonnegative_int(name: str, text: str) -> int:
                          f"{sys.get_int_max_str_digits()}") from None
     if value < 0:
         raise UsageError(f"{name} must be a nonnegative integer, got {value}")
+    if value > bound:
+        raise UsageError(f"{name} {value} exceeds the bound {bound}")
     return value
 
 
-def _nonnegative(args: dict, key: str) -> int:
-    """The option args[key] as a nonnegative int; the errors name it."""
-    return _nonnegative_int("--" + key.replace("_", "-"), args[key])
+def _nonnegative(args: dict, key: str, bound: int) -> int:
+    """The option args[key] as an int from 0 to bound; the errors name it."""
+    return _nonnegative_int("--" + key.replace("_", "-"), args[key], bound)
 
 
 def _cmd_dims(args: dict) -> Report:
-    max_order = _nonnegative(args, "max_order")
+    max_order = _nonnegative(args, "max_order", MAX_ORDER)
     return Report(
         command="dims", arguments={"max_order": str(max_order)},
         result={"kind": "table",
@@ -131,8 +143,9 @@ def _cmd_dims(args: dict) -> Report:
 
 
 def _cmd_basis(args: dict) -> Report:
-    n = _nonnegative(args, "order")
-    d = _nonnegative(args, "degree") if args["degree"] is not None else n + 2
+    n = _nonnegative(args, "order", MAX_BASIS_ORDER)
+    d = (_nonnegative(args, "degree", MAX_BASIS_DEGREE)
+         if args["degree"] is not None else n + 2)
     basis = solve_linear_determining(n, d)
     return Report(
         command="basis",
@@ -185,7 +198,7 @@ def _cmd_variational(args: dict) -> Report:
 
 
 def _cmd_variational_basis(args: dict) -> Report:
-    n = _nonnegative(args, "order")
+    n = _nonnegative(args, "order", MAX_SKEW_ORDER)
     elements = []
     if n % 2 == 1:
         entries = [("Q", n, 0)]
@@ -219,8 +232,8 @@ def _cmd_current(args: dict) -> Report:
     elif family in MINIMAL_FAMILIES:
         if len(rest) != 2:
             raise UsageError(f"current {family} needs KP and LP")
-        kp = _nonnegative_int("KP", rest[0])
-        lp = _nonnegative_int("LP", rest[1])
+        kp = _nonnegative_int("KP", rest[0], MAX_WORD_ORDER)
+        lp = _nonnegative_int("LP", rest[1], MAX_WORD_ORDER)
         current = current_minimal(family, kp, lp)
         arguments = {"family": family, "kp": str(kp), "lp": str(lp)}
     else:
@@ -235,7 +248,7 @@ def _cmd_current(args: dict) -> Report:
 
 
 def _cmd_verify_all(args: dict) -> Report:
-    max_order = _nonnegative(args, "max_order")
+    max_order = _nonnegative(args, "max_order", MAX_ORDER)
     results = verify.run_all(max_order=max_order)
     all_passed = all(r.passed for r in results)
     return Report(

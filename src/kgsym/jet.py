@@ -153,6 +153,8 @@ class _JetPoly:
         return self.terms == terms
 
     def __hash__(self):
+        if self.terms.keys() <= {()}:   # equal to its XYPoly coefficient
+            return hash(self.terms.get((), XYPoly.zero()))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):

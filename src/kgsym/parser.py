@@ -6,14 +6,18 @@ multiplication variables x, y. In jet expressions `*` is the commutative
 product and the atoms are u[k], f[k] (integer k), x, y and rationals.
 Printing either kind of value yields text that parses back to an equal value.
 
-Every atom but J is one monomial c * x^i * y^j * key, where key is the
-derivative orders (p, q) of Dx^p Dy^q or the sorted jet variables. A product
-or power of monomials that is again a monomial is folded into one while
-parsing: in the jet grammar always (a power up to MAX_EXPONENT jet
-variables), and in the operator grammar when no derivative stands left of
-an x or y. Only a sum, J, or a product or power the fold cannot express
-lifts its operands into a TDOperator or ReducedJetPoly and uses their ring
-operations, so `Dx*x` still composes to `x*Dx + 1`.
+While parsing, a value is a flat term map {(key, i, j): c}, the sum of the
+monomials c * x^i * y^j * key, where key is the derivative orders (p, q) of
+Dx^p Dy^q or the sorted jet variables; J is x*Dx - y*Dy. + and - add into
+the map, and a product of two maps is their distributed product whenever
+every pair of monomials multiplies to a monomial: in the jet grammar
+always, in the operator grammar unless a derivative on the left meets an x
+or y on the right. A power of one monomial folds the same way (in the jet
+grammar up to MAX_EXPONENT jet variables). Only a product or power the fold
+cannot express, such as Dx*x or (x + y)^2, lifts into a TDOperator or
+ReducedJetPoly and uses its ring operations, so `Dx*x` still composes to
+`x*Dx + 1`. The map becomes a value once, at the end, so printed text
+parses with no ring operation.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .arith import XYPoly, as_rational, from_terms
+from .arith import XYPoly, accumulate, as_rational, from_terms
 from .jet import ReducedJetPoly
 from .opalg import TDOperator
 
@@ -98,97 +102,86 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Term:
-    """The monomial c * x^i * y^j * key: c a rational in normal form, key
-    the grammar's monomial key."""
-
-    __slots__ = ("c", "i", "j", "key")
-
-    def __init__(self, c, i, j, key):
-        self.c, self.i, self.j, self.key = c, i, j, key
-
-    def __neg__(self):
-        return _Term(-self.c, self.i, self.j, self.key)
-
-
 class _Parser:
-    """Shared expression skeleton; subclasses provide the atoms, the value
-    type, and when a product of two _Terms or a power of one is a _Term.
+    """Shared expression skeleton. The methods under parse return a term
+    map whose coefficients are nonzero rationals in normal form; lift turns
+    one into a value of value_type and flat turns a value back.
 
-    The methods under parse return a _Term while the fold holds and a value
-    of value_type otherwise; lift turns a _Term into that value."""
-
-    value_type = None
+    A subclass provides value_type; grammar, its name in error messages;
+    one, the key of the monomial 1; named_atom(name), the map of a name
+    other than x and y, or None; and monomial_product(m1, m2) and
+    monomial_power(m, e) for monomials m = (key, i, j), each the monomial
+    of the result, or None when that is no monomial."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
+    def expect(self, kind: str):
         tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def lift(self, value):
-        """value as the value type: one from_terms for a _Term."""
-        if type(value) is not _Term:
-            return value
-        terms = ({value.key: from_terms(XYPoly, {(value.i, value.j): value.c})}
-                 if value.c else {})
-        return from_terms(self.value_type, terms)
+    def lift(self, terms):
+        """The value of the term map terms, its monomials grouped by key."""
+        grouped = {}
+        for (key, i, j), c in terms.items():
+            grouped.setdefault(key, {})[i, j] = c
+        return from_terms(self.value_type, {
+            key: from_terms(XYPoly, t) for key, t in grouped.items()})
+
+    @staticmethod
+    def flat(value):
+        """The term map of a value of the value type."""
+        return {(key, i, j): c for key, poly in value.terms.items()
+                for (i, j), c in poly.terms.items()}
 
     def parse(self):
-        value = self.expression()
-        tok = self.peek()
+        terms = self.expression()
+        tok = self.tokens[self.pos]
         if tok[0] != "END":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return self.lift(value)
+        return self.lift(terms)
 
     def expression(self):
-        value = self.factor()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            left, right = self.lift(value), self.lift(self.factor())
-            value = left + right if op == "+" else left - right
-        return value
+        terms = self.factor()
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) in ("+", "-"):
+            self.pos += 1
+            right = self.factor()
+            accumulate(terms, right.items() if op == "+" else
+                       ((key, -c) for key, c in right.items()))
+        return terms
 
     def factor(self):
-        value = self.unary()
-        while self.peek()[0] == "*":
-            self.advance()
+        terms = self.unary()
+        tokens = self.tokens
+        while tokens[self.pos][0] == "*":
+            self.pos += 1
             right = self.unary()
-            key = (self.product_key(value, right)
-                   if type(value) is _Term and type(right) is _Term else None)
-            if key is None:
-                value = self.lift(value) * self.lift(right)
-            else:
-                value = _Term(as_rational(value.c * right.c),
-                              value.i + right.i, value.j + right.j, key)
-        return value
+            product = self.fold_product(terms, right)
+            terms = (self.flat(self.lift(terms) * self.lift(right))
+                     if product is None else product)
+        return terms
 
     def unary(self):
+        tokens = self.tokens
         negative = False
-        while self.peek()[0] in ("+", "-"):
-            negative ^= self.advance()[0] == "-"
-        value = self.power()
-        return -value if negative else value
+        while (op := tokens[self.pos][0]) in ("+", "-"):
+            self.pos += 1
+            negative ^= op == "-"
+        terms = self.power()
+        return {key: -c for key, c in terms.items()} if negative else terms
 
     def power(self):
-        value = self.primary()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.peek()
+        terms = self.primary()
+        tokens = self.tokens
+        if tokens[self.pos][0] == "^":
+            self.pos += 1
+            tok = tokens[self.pos]
             if tok[0] == "-":
                 raise ParseError("negative exponents are not allowed", tok[2])
             tok = self.expect("INT")
@@ -196,20 +189,33 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the bound "
                                  f"{MAX_EXPONENT}", tok[2])
-            key = self.power_key(value, e) if type(value) is _Term else None
-            if key is None:
-                value = self.lift(value) ** e
-            else:
-                value = _Term(as_rational(value.c ** e), value.i * e,
-                              value.j * e, key)
-        return value
+            m = None
+            if len(terms) == 1:
+                (m, c), = terms.items()
+                m = self.monomial_power(m, e)
+            terms = (self.flat(self.lift(terms) ** e) if m is None
+                     else {m: as_rational(c ** e)})
+        return terms
+
+    def fold_product(self, a, b):
+        """The term map of a * b, or None unless every pair of monomials
+        multiplies to a monomial. A coefficient 1 multiplies nothing."""
+        pairs = []
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = self.monomial_product(m1, m2)
+                if m is None:
+                    return None
+                pairs.append((m, c2 if c1 == 1 else c1 if c2 == 1
+                              else c1 * c2))
+        return accumulate({}, pairs)
 
     def rational(self, first):
         """The integer first, or first/den when a / follows: an int when
         the value is integral, else a Fraction."""
         value = _int(first)
-        if self.peek()[0] == "/":
-            self.advance()
+        if self.tokens[self.pos][0] == "/":
+            self.pos += 1
             tok = self.expect("INT")
             den = _int(tok)
             if den == 0:
@@ -219,13 +225,13 @@ class _Parser:
 
     def primary(self):
         """A parenthesized expression, or else an atom."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] != "(":
             return self.atom()
         if self.depth == MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
                              tok[2])
-        self.advance()
+        self.pos += 1
         self.depth += 1
         inner = self.expression()
         self.depth -= 1
@@ -233,96 +239,86 @@ class _Parser:
         return inner
 
     def atom(self):
-        raise NotImplementedError
-
-    def product_key(self, a: _Term, b: _Term):
-        """The key of the monomial a * b, or None when a * b is none."""
-        raise NotImplementedError
-
-    def power_key(self, a: _Term, e: int):
-        """The key of the monomial a ** e, or None when a ** e is none."""
-        raise NotImplementedError
+        """A rational, x, y or one of the grammar's own names."""
+        kind, value, pos = tok = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "INT":
+            c = self.rational(tok)
+            return {(self.one, 0, 0): c} if c else {}
+        if kind != "NAME":
+            raise ParseError(f"unexpected token {value!r}", pos)
+        if value == "x":
+            return {(self.one, 1, 0): 1}
+        if value == "y":
+            return {(self.one, 0, 1): 1}
+        terms = self.named_atom(value)
+        if terms is None:
+            raise ParseError(f"unknown {self.grammar} atom {value!r}", pos)
+        return terms
 
 
 class _OperatorParser(_Parser):
-    value_type = TDOperator
+    value_type, grammar, one = TDOperator, "operator", (0, 0)
 
-    def atom(self):
-        tok = self.advance()
-        kind, value, pos = tok
-        if kind == "INT":
-            return _Term(self.rational(tok), 0, 0, (0, 0))
-        if kind == "NAME":
-            if value == "Dx":
-                return _Term(1, 0, 0, (1, 0))
-            if value == "Dy":
-                return _Term(1, 0, 0, (0, 1))
-            if value == "J":
-                return TDOperator.j()
-            if value == "x":
-                return _Term(1, 1, 0, (0, 0))
-            if value == "y":
-                return _Term(1, 0, 1, (0, 0))
-            raise ParseError(f"unknown operator atom {value!r}", pos)
-        raise ParseError(f"unexpected token {value!r}", pos)
-
-    # x and y commute with each other and Dx with Dy, so a * b is the
-    # monomial with added exponents unless a has a derivative and b an x or
-    # y: then Leibniz adds lower-order terms (Dx*x = x*Dx + 1).
-
-    def product_key(self, a, b):
-        if a.key == (0, 0) or b.i == b.j == 0:
-            return (a.key[0] + b.key[0], a.key[1] + b.key[1])
+    def named_atom(self, name):
+        if name == "Dx":
+            return {((1, 0), 0, 0): 1}
+        if name == "Dy":
+            return {((0, 1), 0, 0): 1}
+        if name == "J":
+            return {((1, 0), 1, 0): 1, ((0, 1), 0, 1): -1}
         return None
 
-    def power_key(self, a, e):
-        if a.key == (0, 0) or a.i == a.j == 0:
-            return (a.key[0] * e, a.key[1] * e)
-        return None
+    # x and y commute, and so do Dx and Dy, so two monomials multiply by
+    # adding exponents unless a derivative on the left meets an x or y on the
+    # right: then Leibniz adds lower-order terms (Dx*x = x*Dx + 1).
+
+    def monomial_product(self, m1, m2):
+        (p1, q1), i1, j1 = m1
+        (p2, q2), i2, j2 = m2
+        if (p1 or q1) and (i2 or j2):
+            return None
+        return (p1 + p2, q1 + q2), i1 + i2, j1 + j2
+
+    def monomial_power(self, m, e):
+        (p, q), i, j = m
+        if (p or q) and (i or j):
+            return None
+        return (p * e, q * e), i * e, j * e
 
 
 class _JetParser(_Parser):
-    value_type = ReducedJetPoly
+    value_type, grammar, one = ReducedJetPoly, "jet", ()
 
-    def atom(self):
-        tok = self.advance()
-        kind, value, pos = tok
-        if kind == "INT":
-            return _Term(self.rational(tok), 0, 0, ())
-        if kind == "NAME":
-            if value == "x":
-                return _Term(1, 1, 0, ())
-            if value == "y":
-                return _Term(1, 0, 1, ())
-            if value in ("u", "f"):
-                self.expect("[")
-                sign = 1
-                if self.peek()[0] == "-":
-                    self.advance()
-                    sign = -1
-                tok = self.expect("INT")
-                index = sign * _int(tok)
-                self.expect("]")
-                if abs(index) > MAX_JET_INDEX:
-                    raise ParseError(f"jet index {index} exceeds the bound "
-                                     f"|k| <= {MAX_JET_INDEX}", tok[2])
-                return _Term(1, 0, 0, ((value, index),))
-            raise ParseError(f"unknown jet atom {value!r}", pos)
-        raise ParseError(f"unexpected token {value!r}", pos)
+    def named_atom(self, name):
+        if name not in ("u", "f"):
+            return None
+        self.expect("[")
+        sign = 1
+        if self.tokens[self.pos][0] == "-":
+            self.pos += 1
+            sign = -1
+        tok = self.expect("INT")
+        index = sign * _int(tok)
+        self.expect("]")
+        if abs(index) > MAX_JET_INDEX:
+            raise ParseError(f"jet index {index} exceeds the bound "
+                             f"|k| <= {MAX_JET_INDEX}", tok[2])
+        return {(((name, index),), 0, 0): 1}
 
-    # The product is commutative, so every product and power of monomials
-    # is a monomial. A monomial repeats each variable by its exponent, so a
-    # folded power holds at most MAX_EXPONENT variables: a nested power such
-    # as ((u[0]^1000)^1000)^1000 would otherwise allocate 10^9 of them in
-    # one step, where the ring power builds them one product at a time.
+    # The product is commutative, so every product folds, and every power
+    # but one of more than MAX_EXPONENT jet variables: ((u[0]^1000)^1000)^1000
+    # would otherwise allocate 10^9 of them in one step, where the ring power
+    # builds them one product at a time.
 
-    def product_key(self, a, b):
-        return tuple(sorted(a.key + b.key))
+    def monomial_product(self, m1, m2):
+        return tuple(sorted(m1[0] + m2[0])), m1[1] + m2[1], m1[2] + m2[2]
 
-    def power_key(self, a, e):
-        if len(a.key) * e <= MAX_EXPONENT:
-            return tuple(sorted(a.key * e))
-        return None
+    def monomial_power(self, m, e):
+        key, i, j = m
+        if len(key) * e > MAX_EXPONENT:
+            return None
+        return tuple(sorted(key * e)), i * e, j * e
 
 
 def parse_operator(text: str) -> TDOperator:

@@ -182,3 +182,27 @@ def test_integral_values_are_stored_as_int():
         assert type(coeff.terms[(1, 0)]) is int
     with pytest.raises(TypeError):
         as_rational(0.5)
+
+
+@pytest.mark.parametrize("value", [0, 3, -7, Fraction(1, 2), Fraction(-5, 3)])
+def test_constant_polynomial_hashes_as_its_value(value):
+    # XYPoly.constant(c) == c, so the two must hash alike and make one set
+    # element; XYPoly.zero() == 0 likewise.
+    poly = XYPoly.constant(value)
+    assert poly == value and hash(poly) == hash(value)
+    assert len({poly, value}) == 1
+    assert {poly: "poly"}[value] == "poly"
+
+
+def test_zero_polynomial_hashes_as_zero():
+    assert XYPoly.zero() == 0 and hash(XYPoly.zero()) == hash(0)
+    assert len({XYPoly.zero(), 0}) == 1
+
+
+def test_nonconstant_polynomial_hash_unchanged():
+    rng = random.Random(304)
+    for _ in range(40):
+        p = random_xypoly(rng)
+        assert hash(p) == hash(XYPoly(dict(p.terms)))
+        if not p.is_constant():
+            assert hash(p) == hash(frozenset(p.terms.items()))

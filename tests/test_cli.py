@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -259,6 +260,75 @@ def test_long_integer_argument_rejected(capsys, argv, name):
     assert code == 2
     assert out == ""
     assert err == f"error: {name} has 5000 digits, past the limit 4300\n"
+
+
+def _stub_work(monkeypatch):
+    """Replace the work behind every bounded integer argument by a stub
+    that records its arguments, so a run at a bound takes no time."""
+    seen = []
+
+    def record(result):
+        return lambda *args, **kwargs: seen.append(
+            args + tuple(kwargs.values())) or result
+
+    monkeypatch.setattr(cli, "dimension_table", record([]))
+    monkeypatch.setattr(cli.verify, "run_all", record([]))
+    monkeypatch.setattr(cli, "solve_linear_determining",
+                        record(SimpleNamespace(dim=0, elements=[])))
+    monkeypatch.setattr(cli, "basis_op", record("op"))
+    monkeypatch.setattr(cli, "current_minimal", record(SimpleNamespace(
+        family="C2", t="t", x="x", order=0, characteristic=None)))
+    return seen
+
+
+@pytest.mark.parametrize("argv, name, bound", [
+    (["dims", "--max-order"], "--max-order", cli.MAX_ORDER),
+    (["verify-all", "--max-order"], "--max-order", cli.MAX_ORDER),
+    (["basis", "--order"], "--order", cli.MAX_BASIS_ORDER),
+    (["basis", "--order", "0", "--degree"], "--degree",
+     cli.MAX_BASIS_DEGREE),
+    (["variational-basis", "--order"], "--order", cli.MAX_SKEW_ORDER),
+    (["current", "C2"], "KP", cli.MAX_WORD_ORDER),
+])
+def test_integer_argument_bounds(capsys, monkeypatch, argv, name, bound):
+    seen = _stub_work(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, str(bound),
+                             *(["0"] if name == "KP" else []))
+    assert code == 0 and err == ""
+    assert seen and bound in seen[0]
+    seen.clear()
+    code, out, err = run_cli(capsys, *argv, str(bound + 1),
+                             *(["0"] if name == "KP" else []))
+    assert code == 2
+    assert out == "" and seen == []
+    assert err == f"error: {name} {bound + 1} exceeds the bound {bound}\n"
+
+
+def test_word_order_bound_on_lp(capsys, monkeypatch):
+    seen = _stub_work(monkeypatch)
+    bound = cli.MAX_WORD_ORDER
+    assert run_cli(capsys, "current", "C1", "0", str(bound))[0] == 0
+    assert seen == [("C1", 0, bound)]
+    code, out, err = run_cli(capsys, "current", "C1", "0", str(bound + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: LP {bound + 1} exceeds the bound {bound}\n"
+
+
+def test_integer_argument_bounds_admit_documented_inputs():
+    # Inputs that tests, golden files, README, verify-all and the benchmark
+    # use stay inside the bounds.
+    assert cli.MAX_ORDER >= 12
+    assert cli.MAX_BASIS_DEGREE >= 22
+    assert cli.MAX_BASIS_DEGREE >= cli.MAX_BASIS_ORDER + 2
+    assert cli.MAX_SKEW_ORDER >= 81
+    assert cli.MAX_WORD_ORDER >= 40
+
+
+def test_basis_default_degree_at_the_order_bound(capsys, monkeypatch):
+    seen = _stub_work(monkeypatch)
+    code, _, _ = run_cli(capsys, "basis", "--order", str(cli.MAX_BASIS_ORDER))
+    assert code == 0
+    assert seen == [(cli.MAX_BASIS_ORDER, cli.MAX_BASIS_ORDER + 2)]
 
 
 def test_deeply_nested_parentheses_rejected(capsys):

@@ -282,3 +282,20 @@ def test_square_matches_general_product():
             assert _canonical(p * p, _is_reduced_var
                               if isinstance(p, ReducedJetPoly)
                               else _is_free_var)
+
+
+@pytest.mark.parametrize("cls", [ReducedJetPoly, FreeJetPoly])
+def test_jet_without_variables_hashes_as_its_coefficient(cls):
+    # from_poly(p) == p, so the two must hash alike; a constant one also
+    # equals, and hashes as, its rational value.
+    rng = random.Random(40)
+    for _ in range(40):
+        p = random_xypoly(rng)
+        jet = cls.from_poly(p)
+        assert jet == p and hash(jet) == hash(p)
+        assert len({jet, p}) == 1
+    for value in (0, 3, Fraction(-2, 7)):
+        jet = cls.from_poly(value)
+        assert jet == value and hash(jet) == hash(value)
+        assert len({jet, XYPoly.constant(value), value}) == 1
+    assert len({cls.zero(), XYPoly.zero(), 0}) == 1

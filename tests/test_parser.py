@@ -1,4 +1,5 @@
-"""Parser tests: grammar examples, error reporting, print/parse round trips."""
+"""Parser tests: grammar examples, error reporting, print/parse round trips,
+and the sum fold against ring operations."""
 
 import random
 from fractions import Fraction
@@ -170,7 +171,7 @@ def test_jet_index_bound():
         assert str(MAX_JET_INDEX) in message
 
 
-# Differential test of the monomial fold: random expressions over each
+# Differential test of the sum fold: random expressions over each
 # grammar are built twice, as text for the parser and as a value made
 # directly with the TDOperator / ReducedJetPoly ring operations, following
 # the grammar's precedence (a unary sign applies to one power).
@@ -284,3 +285,110 @@ def test_monomial_fold_normalizes_coefficients():
     for text in ("2/3*u[0]*3/2", "(5/7)^0*u[0]", "(5/7*u[0])^0*u[0]"):
         assert _coefficient_reprs(parse_jet(text)) == [
             ("(('u', 0),)", "(0, 0)", "1")], text
+
+
+def test_sum_fold_products_of_sums():
+    # Sums on either side of a derivative: a product folds when no left
+    # derivative meets a right x or y, and composes by Leibniz otherwise.
+    dx, dy = TDOperator.dx(), TDOperator.dy()
+    x, y = TDOperator.mul_by(_X), TDOperator.mul_by(_Y)
+    one, half = TDOperator.identity(), TDOperator.mul_by(Fraction(1, 2))
+    for text, value in (("(x + Dx)*(y - Dy)", (x + dx) * (y - dy)),
+                        ("Dx*(x + y)", dx * (x + y)),
+                        ("(x + y)*Dx", (x + y) * dx),
+                        ("(x - 1/2*y)*(Dx + Dy)", (x - half * y) * (dx + dy)),
+                        ("(Dx + Dy)*(x - y)", (dx + dy) * (x - y)),
+                        ("(Dx - 2*Dy)*(Dx*Dy + 1)",
+                         (dx - 2 * dy) * (dx * dy + one)),
+                        ("(x*Dx + y)*(x + Dy)*(1 - x*y)",
+                         (x * dx + y) * (x + dy) * (one - x * y)),
+                        ("(x + y)^2*Dx", (x + y) ** 2 * dx),
+                        ("(Dx + 1)^3*(x - y)", (dx + one) ** 3 * (x - y))):
+        _assert_same(parse_operator(text), value, text)
+    u0, u1 = ReducedJetPoly.var("u", 0), ReducedJetPoly.var("u", 1)
+    fm = ReducedJetPoly.var("f", -2)
+    jx, jy = ReducedJetPoly.from_poly(_X), ReducedJetPoly.from_poly(_Y)
+    for text, value in (("(u[0] + x)*(u[1] - y)", (u0 + jx) * (u1 - jy)),
+                        ("(x - 2*y)*u[1]*(f[-2] + u[0])^2",
+                         (jx - 2 * jy) * u1 * (fm + u0) ** 2),
+                        ("-(u[0] - 3/2*u[1])*(u[1] + u[0])",
+                         -((u0 - Fraction(3, 2) * u1) * (u1 + u0)))):
+        _assert_same(parse_jet(text), value, text)
+
+
+def test_sum_fold_zero_sums():
+    dx, x = TDOperator.dx(), TDOperator.mul_by(_X)
+    zero, one = TDOperator.zero(), TDOperator.identity()
+    for text, value in (("(x - x)*Dx", zero), ("Dx*(x - x)", zero),
+                        ("0^0", one), ("(x - x)^0", one),
+                        ("(x - x)^0*Dx", dx), ("(Dx - Dx)^2", zero),
+                        ("0*Dx*x", zero), ("(Dx*x - x*Dx)^5", one),
+                        ("x + 0 - x", zero), ("(x - x)*Dx*x + x", x)):
+        _assert_same(parse_operator(text), value, text)
+    u0 = ReducedJetPoly.var("u", 0)
+    for text, value in (("(u[0] - u[0])^0", ReducedJetPoly.one()),
+                        ("(u[0] - u[0])^3", ReducedJetPoly.zero()),
+                        ("(x - x)*u[0]", ReducedJetPoly.zero()),
+                        ("0^0*u[0]", u0),
+                        ("u[0] - u[0] + 0", ReducedJetPoly.zero())):
+        _assert_same(parse_jet(text), value, text)
+    assert parse_jet("(u[0] - u[0])^0").terms == {(): XYPoly.one()}
+
+
+def test_sum_fold_with_j_in_products():
+    dx, dy, j = TDOperator.dx(), TDOperator.dy(), TDOperator.j()
+    x, y = TDOperator.mul_by(_X), TDOperator.mul_by(_Y)
+    third = TDOperator.mul_by(Fraction(1, 3))
+    for text, value in (("J", j), ("J*Dx", j * dx), ("Dx*J", dx * j),
+                        ("x*J*y", x * j * y), ("J*x", j * x),
+                        ("(J + x)*(J - Dy)", (j + x) * (j - dy)),
+                        ("J^2*x - 1/3*J", j ** 2 * x - third * j),
+                        ("(x + y)*J*(Dx + Dy)", (x + y) * j * (dx + dy)),
+                        ("-(J - 1)^2*Dy", -((j - TDOperator.identity()) ** 2)
+                         * dy)):
+        _assert_same(parse_operator(text), value, text)
+
+
+def _count_ring_calls(monkeypatch):
+    """Wrap every ring operation of TDOperator and ReducedJetPoly so that
+    each call is counted in the returned dict, by class and method name."""
+    calls = {}
+    for cls, names in ((TDOperator, ("compose", "__add__", "__sub__",
+                                     "__mul__", "__rmul__", "__neg__",
+                                     "__pow__", "scale", "left_mul_poly")),
+                       (ReducedJetPoly, ("__add__", "__radd__", "__sub__",
+                                         "__rsub__", "__mul__", "__rmul__",
+                                         "__neg__", "__pow__"))):
+        for name in names:
+            def counted(*args, _method=getattr(cls, name),
+                        _label=f"{cls.__name__}.{name}"):
+                calls[_label] = calls.get(_label, 0) + 1
+                return _method(*args)
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_printed_values_parse_with_no_ring_operation(monkeypatch):
+    rng = random.Random(53)
+    values = [random_operator(rng) for _ in range(300)]
+    values += [random_reduced_jet(rng) for _ in range(300)]
+    texts = [str(v) for v in values]
+    calls = _count_ring_calls(monkeypatch)
+    parsed = [(parse_operator if isinstance(v, TDOperator) else parse_jet)(t)
+              for v, t in zip(values, texts)]
+    assert calls == {}
+    for value, back, text in zip(values, parsed, texts):
+        _assert_same(back, value, text)
+    # The counters see the ring operations that an unfoldable product uses.
+    parse_operator("Dx*x")
+    assert calls == {"TDOperator.__mul__": 1, "TDOperator.compose": 1}
+
+
+def test_jet_power_fold_bound_uses_ring_power(monkeypatch):
+    # Up to MAX_EXPONENT jet variables a power folds; past it the ring
+    # power builds the monomial one product at a time.
+    calls = _count_ring_calls(monkeypatch)
+    parse_jet(f"(2*u[0]*u[1])^{MAX_EXPONENT // 2}")
+    assert calls == {}
+    parse_jet(f"(2*u[0]*u[1])^{MAX_EXPONENT // 2 + 1}")
+    assert calls["ReducedJetPoly.__pow__"] == 1
