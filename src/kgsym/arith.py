@@ -64,20 +64,12 @@ def accumulate(out, items):
     return out
 
 
-def add_terms(a, b):
-    return accumulate(dict(a), b.items())
-
-
 def scale_terms(terms, factor):
     """Every coefficient times factor; negation is scaling by -1."""
     factor = _integral(factor)
     if not factor:
         return {}
     return {key: _integral(c * factor) for key, c in terms.items()}
-
-
-def sub_terms(a, b):
-    return add_terms(a, scale_terms(b, -1))
 
 
 def mul_terms(a, b, key_mul):
@@ -135,17 +127,6 @@ def scalar_prefixed(c, body: str) -> str:
     return f"{_rational_str(c)}*{body}"
 
 
-def clean_terms(terms, coerce, normalize):
-    """The term map of the nonzero coerce(value) under the keys
-    normalize(key), from a mapping that may hold zeros and raw scalars."""
-    cleaned = {}
-    for key, value in (terms or {}).items():
-        c = coerce(value)
-        if c:
-            cleaned[normalize(key)] = c
-    return cleaned
-
-
 def int_key(key):
     return tuple(map(int, key))
 
@@ -157,23 +138,103 @@ def from_terms(cls, terms):
     return result
 
 
-class XYPoly:
-    """Sparse polynomial in x and y over exact rationals.
-
-    Terms map exponent pairs (i, j) to nonzero coefficients; no zero
-    coefficient is ever stored, so two polynomials are equal exactly when
-    their term maps are. Values are immutable by convention: no operation
-    mutates its operands.
-    """
+class TermMap:
+    """Value contract of XYPoly, TDOperator and the jet polynomials: terms
+    maps monomial keys to nonzero coefficients, and values are immutable by
+    convention. Each class states its hooks: _coerce cleans a coefficient
+    (TypeError for anything else), _normalize_key a key, and _constant_key
+    is the key of the constant monomial, or None when the class holds no
+    scalar. A scalar, anything _coerce accepts, equals, hashes as and adds
+    like the value holding it there. Each class keeps its own algebra."""
 
     __slots__ = ("terms",)
 
+    _constant_key = None
+
     def __init__(self, terms=None):
-        self.terms = clean_terms(terms, as_rational, int_key)
+        coerce, normalize = self._coerce, self._normalize_key
+        cleaned = {}
+        for key, value in (terms or {}).items():
+            c = coerce(value)
+            if c:
+                cleaned[normalize(key)] = c
+        self.terms = cleaned
 
     @classmethod
-    def zero(cls) -> "XYPoly":
+    def zero(cls):
         return cls()
+
+    @classmethod
+    def terms_of(cls, value):
+        """The term map of value read as a value of cls: its terms when it
+        is one, the constant monomial of a scalar, else None."""
+        if isinstance(value, cls):
+            return value.terms
+        key = cls._constant_key
+        if key is None:
+            return None
+        try:
+            c = cls._coerce(value)
+        except TypeError:
+            return None
+        return {key: c} if c else {}
+
+    def _plus(self, other, sign=1):
+        """self + sign * other, for sign 1 or -1, as a value of self's
+        class; NotImplemented unless terms_of takes other."""
+        if type(other) is type(self):
+            terms = other.terms
+        else:
+            terms = self.terms_of(other)
+            if terms is None:
+                return NotImplemented
+        if sign != 1:
+            terms = scale_terms(terms, sign)
+        return from_terms(type(self),
+                          accumulate(dict(self.terms), terms.items()))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.terms == other.terms
+        terms = self.terms_of(other)
+        if terms is None:
+            return NotImplemented
+        return self.terms == terms
+
+    def __hash__(self):
+        terms = self.terms
+        key = self._constant_key
+        if terms.keys() <= {key}:   # a constant hashes as its scalar
+            return hash(terms.get(key, 0))
+        return hash(frozenset(terms.items()))
+
+    def sorted_terms(self):
+        """Terms in printing order. Keys (i, j) of x^i y^j or (p, q) of
+        Dx^p Dy^q go highest total degree first, then highest i or p; the
+        jet classes order their own."""
+        return sorted(self.terms.items(),
+                      key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]),
+                      reverse=True)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class XYPoly(TermMap):
+    """Sparse polynomial in x and y over exact rationals: terms map exponent
+    pairs (i, j) to nonzero rational coefficients."""
+
+    __slots__ = ()
+
+    _coerce = staticmethod(as_rational)
+    _normalize_key = staticmethod(int_key)
+    _constant_key = (0, 0)
 
     @classmethod
     def one(cls) -> "XYPoly":
@@ -190,9 +251,6 @@ class XYPoly:
         if name == "y":
             return cls({(0, 1): 1})
         raise ValueError(f"unknown variable {name!r}; only x and y exist")
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(key == (0, 0) for key in self.terms)
@@ -215,10 +273,7 @@ class XYPoly:
         return from_terms(XYPoly, out)
 
     def __add__(self, other):
-        other = as_poly(other)
-        if other is None:
-            return NotImplemented
-        return from_terms(XYPoly, add_terms(self.terms, other.terms))
+        return self._plus(other)
 
     __radd__ = __add__
 
@@ -226,16 +281,10 @@ class XYPoly:
         return from_terms(XYPoly, scale_terms(self.terms, -1))
 
     def __sub__(self, other):
-        other = as_poly(other)
-        if other is None:
-            return NotImplemented
-        return from_terms(XYPoly, sub_terms(self.terms, other.terms))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        other = as_poly(other)
-        if other is None:
-            return NotImplemented
-        return from_terms(XYPoly, sub_terms(other.terms, self.terms))
+        return (-self)._plus(other)
 
     def __mul__(self, other):
         if isinstance(other, XYPoly):
@@ -255,53 +304,17 @@ class XYPoly:
     def __pow__(self, exponent: int):
         return power(XYPoly.one(), self, exponent)
 
-    def __eq__(self, other):
-        other = as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        if self.is_constant():      # equal to, so hashed as, its value
-            return hash(self.terms.get((0, 0), 0))
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        """Terms in canonical degree-lexicographic order (highest first)."""
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]),
-                      reverse=True)
-
     def __str__(self):
         if not self.terms:
             return "0"
         return join_signed([_poly_term_str(key, c)
                             for key, c in self.sorted_terms()])
 
-    def __repr__(self):
-        return f"XYPoly({self})"
-
-
-def as_poly(value):
-    """value as an XYPoly when it is one or a rational constant, else None."""
-    if isinstance(value, XYPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        value = as_rational(value)
-        return from_terms(XYPoly, {(0, 0): value} if value else {})
-    return None
-
 
 def poly_coefficient(value) -> XYPoly:
     """value as an XYPoly coefficient; TypeError unless it is an XYPoly or a
     rational constant."""
-    c = as_poly(value)
-    if c is None:
-        raise TypeError("coefficients must be XYPoly or rational")
-    return c
+    return value if isinstance(value, XYPoly) else XYPoly.constant(value)
 
 
 def _poly_term_str(key, coeff) -> str:

@@ -26,13 +26,6 @@ from .symmetry import (dimension_table, is_generalized_symmetry,
 
 
 @dataclass
-class Command:
-    """A validated command with its arguments, ready to run."""
-    name: str
-    args: dict = field(default_factory=dict)
-
-
-@dataclass
 class Report:
     """Deterministic result payload; rendered as text or JSON."""
     command: str
@@ -261,30 +254,14 @@ def _cmd_verify_all(args: dict) -> Report:
         exit_code=0 if all_passed else 1)
 
 
-_DISPATCH = {
-    "dims": _cmd_dims,
-    "basis": _cmd_basis,
-    "check-symmetry": _cmd_check_symmetry,
-    "bracket": _cmd_bracket,
-    "adjoint": _cmd_adjoint,
-    "commutator": _cmd_commutator,
-    "variational": _cmd_variational,
-    "variational-basis": _cmd_variational_basis,
-    "current": _cmd_current,
-    "verify-all": _cmd_verify_all,
-}
-
-
 class UsageError(ValueError):
     pass
 
 
-def run(cmd: Command) -> Report:
-    """Execute a validated command and return its report."""
-    handler = _DISPATCH.get(cmd.name)
-    if handler is None:
-        raise UsageError(f"unknown command {cmd.name!r}")
-    return handler(cmd.args)
+def run(ns: argparse.Namespace) -> Report:
+    """Run the command of the parsed arguments ns, through the handler its
+    subparser set, and return its report."""
+    return ns.handler(vars(ns))
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -298,60 +275,62 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="write the report to FILE instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dims", help="dimension table of linear symmetries")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("dims", _cmd_dims, "dimension table of linear symmetries")
     p.add_argument("--max-order", default="3")
 
-    p = sub.add_parser("basis", help="solve the determining system")
+    p = command("basis", _cmd_basis, "solve the determining system")
     p.add_argument("--order", required=True)
     p.add_argument("--degree", default=None)
 
-    p = sub.add_parser("check-symmetry",
-                       help="test the on-shell symmetry criterion")
+    p = command("check-symmetry", _cmd_check_symmetry,
+                "test the on-shell symmetry criterion")
     p.add_argument("expression")
 
-    p = sub.add_parser("bracket", help="reduced Lie bracket of characteristics")
+    p = command("bracket", _cmd_bracket,
+                "reduced Lie bracket of characteristics")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("adjoint", help="formal adjoint of an operator")
+    p = command("adjoint", _cmd_adjoint, "formal adjoint of an operator")
     p.add_argument("operator")
 
-    p = sub.add_parser("commutator", help="commutator of two operators")
+    p = command("commutator", _cmd_commutator, "commutator of two operators")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("variational",
-                       help="test the linear variational criterion")
+    p = command("variational", _cmd_variational,
+                "test the linear variational criterion")
     p.add_argument("operator")
 
-    p = sub.add_parser("variational-basis",
-                       help="skew basis operators of one order")
+    p = command("variational-basis", _cmd_variational_basis,
+                "skew basis operators of one order")
     p.add_argument("--order", required=True)
 
-    p = sub.add_parser("current", help="construct a verified conserved current")
+    p = command("current", _cmd_current,
+                "construct a verified conserved current")
     p.add_argument("family",
                    choices=("C0", "Ctilde", *MINIMAL_FAMILIES))
     p.add_argument("rest", nargs="*",
                    help="KP LP for minimal families, an operator expression "
                         "for Ctilde, optionally 'barred' for C0")
 
-    p = sub.add_parser("verify-all", help="run the full verification suite")
+    p = command("verify-all", _cmd_verify_all,
+                "run the full verification suite")
     p.add_argument("--max-order", default="5")
 
     return parser
-
-
-def _command_from_namespace(ns: argparse.Namespace) -> Command:
-    args = {key: value for key, value in vars(ns).items()
-            if key not in ("command", "format", "out")}
-    return Command(name=ns.command, args=args)
 
 
 def main(argv=None) -> int:
     parser = build_arg_parser()
     ns = parser.parse_args(argv)
     try:
-        report = run(_command_from_namespace(ns))
+        report = run(ns)
     except (ParseError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 
-from .arith import (XYPoly, accumulate, add_terms, as_poly, clean_terms,
-                    from_terms, join_signed, monomial_str, mul_terms,
-                    poly_coefficient, power, scalar_prefixed, scale_terms,
-                    sub_terms)
+from .arith import (TermMap, XYPoly, accumulate, from_terms, join_signed,
+                    monomial_str, mul_terms, poly_coefficient, power,
+                    scalar_prefixed, scale_terms)
 from .opalg import TDOperator
 
 _X = XYPoly.variable("x")
@@ -35,25 +34,6 @@ _REDUCED_SHIFTS = {"x": lambda v: (v[0], v[1] + 1),
                    "y": lambda v: (v[0], v[1] - 1)}
 _FREE_SHIFTS = {"x": lambda v: (v[0] + 1, v[1]),
                 "y": lambda v: (v[0], v[1] + 1)}
-
-
-def _jet_terms(cls, value):
-    """The term map of value as a polynomial of class cls: value itself, an
-    XYPoly or a rational constant; None for anything else."""
-    if isinstance(value, cls):
-        return value.terms
-    c = as_poly(value)
-    if c is None:
-        return None
-    return {(): c} if c else {}
-
-
-def _ring(p, other, combine):
-    """combine(p's terms, other's terms) as a polynomial of p's class."""
-    terms = _jet_terms(type(p), other)
-    if terms is None:
-        return NotImplemented
-    return from_terms(type(p), combine(p.terms, terms))
 
 
 def _times(p, other):
@@ -113,24 +93,20 @@ def _chain_rule(terms, var, shift):
             yield tuple(sorted(mono[:i] + (shift(v),) + mono[i + 1:])), coeff
 
 
-class _JetPoly:
+class _JetPoly(TermMap):
     """Members shared by the two jet polynomial classes.
 
     Terms map monomials to nonzero XYPoly coefficients. A monomial is the
     sorted tuple of its jet variables, each repeated as often as its
-    exponent says; the empty tuple is the constant monomial. The ring
-    operations, partial, total_derivative and __str__ are own members of
-    each class."""
+    exponent says; the empty tuple is the constant monomial, so an XYPoly
+    or a rational is the polynomial holding it there. The ring operations,
+    partial, total_derivative and __str__ are own members of each class."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = clean_terms(terms, poly_coefficient,
-                                 lambda mono: tuple(sorted(mono)))
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    _coerce = staticmethod(poly_coefficient)
+    _normalize_key = staticmethod(lambda mono: tuple(sorted(mono)))
+    _constant_key = ()
 
     @classmethod
     def one(cls):
@@ -140,28 +116,8 @@ class _JetPoly:
     def from_poly(cls, poly):
         return cls({(): poly})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def jet_variables(self):
         return {var for mono in self.terms for var in mono}
-
-    def __eq__(self, other):
-        terms = _jet_terms(type(self), other)
-        if terms is None:
-            return NotImplemented
-        return self.terms == terms
-
-    def __hash__(self):
-        if self.terms.keys() <= {()}:   # equal to its XYPoly coefficient
-            return hash(self.terms.get((), XYPoly.zero()))
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
 
 
 class ReducedJetPoly(_JetPoly):
@@ -205,7 +161,7 @@ class ReducedJetPoly(_JetPoly):
         return _total_derivative(self, var, _REDUCED_SHIFTS)
 
     def __add__(self, other):
-        return _ring(self, other, add_terms)
+        return self._plus(other)
 
     __radd__ = __add__
 
@@ -213,10 +169,10 @@ class ReducedJetPoly(_JetPoly):
         return _times(self, -1)
 
     def __sub__(self, other):
-        return _ring(self, other, sub_terms)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return _ring(-self, other, add_terms)
+        return (-self)._plus(other)
 
     def __mul__(self, other):
         return _times(self, other)
@@ -283,7 +239,7 @@ class FreeJetPoly(_JetPoly):
         return _total_derivative(self, var, _FREE_SHIFTS)
 
     def __add__(self, other):
-        return _ring(self, other, add_terms)
+        return self._plus(other)
 
     __radd__ = __add__
 
@@ -291,10 +247,10 @@ class FreeJetPoly(_JetPoly):
         return _times(self, -1)
 
     def __sub__(self, other):
-        return _ring(self, other, sub_terms)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return _ring(-self, other, add_terms)
+        return (-self)._plus(other)
 
     def __mul__(self, other):
         return _times(self, other)
@@ -304,15 +260,18 @@ class FreeJetPoly(_JetPoly):
     def __pow__(self, exponent: int):
         return power(FreeJetPoly.one(), self, exponent)
 
+    def sorted_terms(self):
+        """Canonical display order: jet degree descending, then by
+        descending total and x order of the variables."""
+        return sorted(self.terms.items(),
+                      key=lambda kv: (-len(kv[0]), [
+                          ((-a - b, -a), e) for (a, b), e in _powers(kv[0])]))
+
     def __str__(self):
         if not self.terms:
             return "0"
-        def mono_key(mono):
-            return [((-a - b, -a), e) for (a, b), e in _powers(mono)]
         pieces = []
-        for mono, coeff in sorted(self.terms.items(),
-                                  key=lambda kv: (-len(kv[0]),
-                                                  mono_key(kv[0]))):
+        for mono, coeff in self.sorted_terms():
             body = monomial_str(
                 (f"u({a},{b})", e) for (a, b), e in
                 _powers(sorted(mono, key=lambda v: (-v[0] - v[1], -v[0]))))

@@ -12,10 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .arith import (XYPoly, accumulate, add_terms, as_rational, clean_terms,
-                    from_terms, int_key, join_signed, monomial_str,
-                    poly_coefficient, power, scalar_prefixed, scale_terms,
-                    sub_terms)
+from .arith import (TermMap, XYPoly, accumulate, as_rational, from_terms,
+                    int_key, join_signed, monomial_str, poly_coefficient,
+                    power, scalar_prefixed, scale_terms)
 
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
@@ -50,17 +49,14 @@ def _leibniz(p, q, cache, sign=1):
                 yield (p - m + r, q - n + s), (c if k == 1 else c * k)
 
 
-class TDOperator:
-    """Linear operator sum a_pq(x, y) * Dx^p * Dy^q in normal form."""
+class TDOperator(TermMap):
+    """Linear operator sum a_pq(x, y) * Dx^p * Dy^q in normal form, keyed by
+    (p, q). It holds no scalar: it never equals one and cannot add one."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = clean_terms(terms, poly_coefficient, int_key)
-
-    @classmethod
-    def zero(cls) -> "TDOperator":
-        return cls()
+    _coerce = staticmethod(poly_coefficient)
+    _normalize_key = staticmethod(int_key)
 
     @classmethod
     def identity(cls) -> "TDOperator":
@@ -84,9 +80,6 @@ class TDOperator:
         """Multiplication operator by a polynomial (or constant)."""
         return cls({(0, 0): poly})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def order(self) -> int:
         """Highest total derivative order; -1 for the zero operator."""
         if not self.terms:
@@ -94,14 +87,10 @@ class TDOperator:
         return max(p + q for (p, q) in self.terms)
 
     def __add__(self, other):
-        if not isinstance(other, TDOperator):
-            return NotImplemented
-        return from_terms(TDOperator, add_terms(self.terms, other.terms))
+        return self._plus(other)
 
     def __sub__(self, other):
-        if not isinstance(other, TDOperator):
-            return NotImplemented
-        return from_terms(TDOperator, sub_terms(self.terms, other.terms))
+        return self._plus(other, -1)
 
     def __neg__(self):
         return from_terms(TDOperator, scale_terms(self.terms, -1))
@@ -149,23 +138,6 @@ class TDOperator:
                                      (-1) ** (p + q)))
         return from_terms(TDOperator, out)
 
-    def __eq__(self, other):
-        if not isinstance(other, TDOperator):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        """Terms ordered with the highest derivative order first."""
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]),
-                      reverse=True)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -179,9 +151,6 @@ class TDOperator:
             else:
                 pieces.append(f"({c})*{dpart}")
         return join_signed(pieces)
-
-    def __repr__(self):
-        return f"TDOperator({self})"
 
 
 def commutator(a: TDOperator, b: TDOperator) -> TDOperator:

@@ -12,12 +12,13 @@ Dx^p Dy^q or the sorted jet variables; J is x*Dx - y*Dy. + and - add into
 the map, and a product of two maps is their distributed product whenever
 every pair of monomials multiplies to a monomial: in the jet grammar
 always, in the operator grammar unless a derivative on the left meets an x
-or y on the right. A power of one monomial folds the same way (in the jet
-grammar up to MAX_EXPONENT jet variables). Only a product or power the fold
-cannot express, such as Dx*x or (x + y)^2, lifts into a TDOperator or
-ReducedJetPoly and uses its ring operations, so `Dx*x` still composes to
-`x*Dx + 1`. The map becomes a value once, at the end, so printed text
-parses with no ring operation.
+or y on the right. Only a product the fold cannot express, such as Dx*x,
+lifts both maps into TDOperators and composes them, so `Dx*x` is still
+`x*Dx + 1`. A power of one monomial folds the same way (in the jet grammar
+up to MAX_EXPONENT jet variables); any other power, such as (x + y)^2, is
+that many products. Every product is charged to one work budget per parse,
+MAX_WORK. The map becomes a value once, at the end, so printed text parses
+with no ring operation.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ MAX_NESTING = 100
 # its exponents, but any other power is computed by repeated multiplication,
 # so this bounds the number of products one ^ can ask for.
 MAX_EXPONENT = 1000
+
+# Most work one parse may spend on products, in monomial steps (see the
+# grammars' cost). A power that does not fold is that many products, so
+# J^1000 or (u[0]^1000)^1000 is a ParseError within seconds, while J^40 and
+# every printed value parse well within the bound.
+MAX_WORK = 300_000
 
 # Largest |k| accepted in a jet variable u[k] or f[k]. Total derivatives and
 # the prolonged action shift an index one step at a time, so their work
@@ -102,6 +109,11 @@ def _tokenize(text: str):
     return tokens
 
 
+def _found(tok) -> str:
+    """How an error message names the token tok."""
+    return "end of input" if tok[0] == "END" else repr(tok[1])
+
+
 class _Parser:
     """Shared expression skeleton. The methods under parse return a term
     map whose coefficients are nonzero rationals in normal form; lift turns
@@ -109,7 +121,8 @@ class _Parser:
 
     A subclass provides value_type; grammar, its name in error messages;
     one, the key of the monomial 1; named_atom(name), the map of a name
-    other than x and y, or None; and monomial_product(m1, m2) and
+    other than x and y, or None; cost(a, b), the work in monomial steps of
+    the product of the maps a and b; and monomial_product(m1, m2) and
     monomial_power(m, e) for monomials m = (key, i, j), each the monomial
     of the result, or None when that is no monomial."""
 
@@ -117,12 +130,13 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.work = 0
 
     def expect(self, kind: str):
         tok = self.tokens[self.pos]
         self.pos += 1
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {_found(tok)}", tok[2])
         return tok
 
     def lift(self, terms):
@@ -159,12 +173,9 @@ class _Parser:
     def factor(self):
         terms = self.unary()
         tokens = self.tokens
-        while tokens[self.pos][0] == "*":
+        while (tok := tokens[self.pos])[0] == "*":
             self.pos += 1
-            right = self.unary()
-            product = self.fold_product(terms, right)
-            terms = (self.flat(self.lift(terms) * self.lift(right))
-                     if product is None else product)
+            terms = self.product(terms, self.unary(), tok)
         return terms
 
     def unary(self):
@@ -179,7 +190,7 @@ class _Parser:
     def power(self):
         terms = self.primary()
         tokens = self.tokens
-        if tokens[self.pos][0] == "^":
+        if (caret := tokens[self.pos])[0] == "^":
             self.pos += 1
             tok = tokens[self.pos]
             if tok[0] == "-":
@@ -189,23 +200,32 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the bound "
                                  f"{MAX_EXPONENT}", tok[2])
-            m = None
             if len(terms) == 1:
                 (m, c), = terms.items()
                 m = self.monomial_power(m, e)
-            terms = (self.flat(self.lift(terms) ** e) if m is None
-                     else {m: as_rational(c ** e)})
+                if m is not None:
+                    return {m: as_rational(c ** e)}
+            base, terms = terms, {(self.one, 0, 0): 1}
+            for _ in range(e):
+                terms = self.product(terms, base, caret)
         return terms
 
-    def fold_product(self, a, b):
-        """The term map of a * b, or None unless every pair of monomials
-        multiplies to a monomial. A coefficient 1 multiplies nothing."""
+    def product(self, a, b, tok):
+        """The term map of a * b, for the * or ^ token tok: the distributed
+        product when every pair of monomials multiplies to a monomial, else
+        the ring product of the lifted values. cost(a, b) is added to the
+        work of the parse first; ParseError at tok when that passes
+        MAX_WORK. A coefficient 1 multiplies nothing."""
+        self.work += self.cost(a, b)
+        if self.work > MAX_WORK:
+            raise ParseError(f"products exceed the bound of {MAX_WORK} "
+                             "monomial steps", tok[2])
         pairs = []
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = self.monomial_product(m1, m2)
                 if m is None:
-                    return None
+                    return self.flat(self.lift(a) * self.lift(b))
                 pairs.append((m, c2 if c1 == 1 else c1 if c2 == 1
                               else c1 * c2))
         return accumulate({}, pairs)
@@ -246,7 +266,7 @@ class _Parser:
             c = self.rational(tok)
             return {(self.one, 0, 0): c} if c else {}
         if kind != "NAME":
-            raise ParseError(f"unexpected token {value!r}", pos)
+            raise ParseError(f"unexpected {_found(tok)}", pos)
         if value == "x":
             return {(self.one, 1, 0): 1}
         if value == "y":
@@ -272,6 +292,17 @@ class _OperatorParser(_Parser):
     # x and y commute, and so do Dx and Dy, so two monomials multiply by
     # adding exponents unless a derivative on the left meets an x or y on the
     # right: then Leibniz adds lower-order terms (Dx*x = x*Dx + 1).
+
+    def cost(self, a, b):
+        """One step per pair of monomials, and one more per extra term the
+        Leibniz rule makes where a derivative on the left meets an x or y
+        on the right."""
+        steps = len(a) * len(b)
+        for (p, q), _, _ in a:
+            if p or q:
+                for _, i, j in b:
+                    steps += (min(p, i) + 1) * (min(q, j) + 1) - 1
+        return steps
 
     def monomial_product(self, m1, m2):
         (p1, q1), i1, j1 = m1
@@ -308,8 +339,17 @@ class _JetParser(_Parser):
 
     # The product is commutative, so every product folds, and every power
     # but one of more than MAX_EXPONENT jet variables: ((u[0]^1000)^1000)^1000
-    # would otherwise allocate 10^9 of them in one step, where the ring power
-    # builds them one product at a time.
+    # would otherwise allocate 10^9 of them in one step, where products
+    # build them one at a time and MAX_WORK stops them early.
+
+    def cost(self, a, b):
+        """One step per pair of monomials and per jet variable of a pair."""
+        steps = 0
+        for key, _, _ in a:
+            steps += len(b) * (1 + len(key))
+        for key, _, _ in b:
+            steps += len(a) * len(key)
+        return steps
 
     def monomial_product(self, m1, m2):
         return tuple(sorted(m1[0] + m2[0])), m1[1] + m2[1], m1[2] + m2[2]

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from kgsym.arith import (RationalMatrix, XYPoly, accumulate, as_poly,
-                         as_rational, from_terms, nullspace, rank,
+from kgsym.arith import (RationalMatrix, XYPoly, accumulate, as_rational,
+                         from_terms, nullspace, poly_coefficient, rank,
                          scale_terms)
-from kgsym.jet import ReducedJetPoly
+from kgsym.jet import FreeJetPoly, ReducedJetPoly
 from kgsym.opalg import TDOperator
 from kgsym.parser import parse_operator
 from kgsym.verify import random_operator, random_reduced_jet, random_xypoly
@@ -170,7 +170,7 @@ def test_integral_values_are_stored_as_int():
     scaled = scale_terms({"a": half, "b": 3}, Fraction(4, 2))
     assert scaled == {"a": 1, "b": 6}
     assert all(type(c) is int for c in scaled.values())
-    assert type(as_poly(Fraction(3)).terms[(0, 0)]) is int
+    assert type(poly_coefficient(Fraction(3)).terms[(0, 0)]) is int
     assert type(XYPoly.zero().constant_value()) is int
     m = RationalMatrix.from_rows([[Fraction(4, 2), 1, 0], [half, 0, 2]])
     assert [type(v) for row in m.entries for v in row] == [
@@ -206,3 +206,69 @@ def test_nonconstant_polynomial_hash_unchanged():
         assert hash(p) == hash(XYPoly(dict(p.terms)))
         if not p.is_constant():
             assert hash(p) == hash(frozenset(p.terms.items()))
+
+
+_X = XYPoly.variable("x")
+
+# The value contract of each term-map class: raw terms holding a zero and
+# keys out of normal form, the clean term map they give, its repr, and the
+# value of class cls holding a scalar c (None for TDOperator, which holds
+# no scalar).
+_CONTRACT = {
+    XYPoly: ({(Fraction(2), 0): 3, (0, 1): 0, (0, 0): Fraction(4, 2)},
+             {(2, 0): 3, (0, 0): 2}, "XYPoly(3*x^2 + 2)", XYPoly.constant),
+    TDOperator: ({(Fraction(1), 0): _X, (0, 1): 0, (0, 0): 2},
+                 {(1, 0): _X, (0, 0): XYPoly.constant(2)},
+                 "TDOperator((x)*Dx + 2)", None),
+    ReducedJetPoly: ({(("u", 1), ("u", 0)): 3, (("f", 2),): XYPoly.zero(),
+                      (): _X},
+                     {(("u", 0), ("u", 1)): XYPoly.constant(3), (): _X},
+                     "ReducedJetPoly(3*u[1]*u[0] + x)",
+                     ReducedJetPoly.from_poly),
+    FreeJetPoly: ({((1, 0), (0, 2)): 3, ((0, 0),): 0, (): Fraction(1, 2)},
+                  {((0, 2), (1, 0)): XYPoly.constant(3),
+                   (): XYPoly.constant(Fraction(1, 2))},
+                  "FreeJetPoly(3*u(0,2)*u(1,0) + 1/2)", FreeJetPoly.from_poly),
+}
+
+
+@pytest.mark.parametrize("cls", list(_CONTRACT), ids=lambda c: c.__name__)
+def test_term_map_value_contract(cls):
+    raw, clean, text, constant = _CONTRACT[cls]
+    value = cls(raw)
+    assert value.terms == clean
+    assert [repr(key) for key in value.terms] == [repr(key) for key in clean]
+    assert repr(value) == text
+    zero = cls.zero()
+    assert not zero and zero.is_zero() and zero == cls(dict.fromkeys(raw, 0))
+    assert value and not value.is_zero() and value != zero
+    copy = cls(dict(value.terms))
+    assert copy == value and hash(copy) == hash(value)
+    assert len({copy, value}) == 1
+    if constant is None:
+        three = TDOperator.mul_by(3)
+        assert three != 3 and three != XYPoly.constant(3) and zero != 0
+        assert hash(three) == hash(TDOperator.mul_by(Fraction(6, 2)))
+        for scalar in (3, XYPoly.constant(3)):
+            with pytest.raises(TypeError):
+                three + scalar
+            with pytest.raises(TypeError):
+                scalar - three
+    else:
+        assert zero == 0 and hash(zero) == hash(0)
+        for c in (3, Fraction(-2, 7)):
+            held = constant(c)
+            assert held == c and c == held and hash(held) == hash(c)
+            poly = XYPoly.constant(c)
+            assert held == poly and hash(held) == hash(poly)
+            assert held + c == constant(2 * c) and c - held == zero
+            assert held - 1 == constant(c - 1) and 1 + held == held + 1
+    jets = (ReducedJetPoly, FreeJetPoly)
+    if cls in jets:
+        other = jets[cls is ReducedJetPoly]
+        assert cls.from_poly(_X) != other.from_poly(_X)
+        assert cls.zero() != other.zero()
+        with pytest.raises(TypeError):
+            cls.zero() + other.zero()
+    if cls is not TDOperator:
+        assert value != TDOperator.identity() and TDOperator.zero() != zero

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from kgsym import cli
-from kgsym.parser import parse_jet, parse_operator
+from kgsym.parser import MAX_WORK, parse_jet, parse_operator
 from kgsym.verify import CheckResult
 
 
@@ -345,6 +345,24 @@ def test_exponent_bound_rejected(capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: ") and "1000" in err and "position 2" in err
+
+
+_SUM = "+".join(f"u[{k}]" for k in range(300))
+
+
+@pytest.mark.parametrize("command, text, position", [
+    ("adjoint", "J^1000", 1),
+    ("check-symmetry", "(u[0]^1000)^1000", 11),
+    ("check-symmetry", "(x+y+u[0])^1000", 10),
+    ("check-symmetry", f"({_SUM})*({_SUM})*({_SUM})", 2 * len(_SUM) + 5)],
+    ids=["J_power", "nested_power", "sum_power", "product_of_sums"])
+def test_work_bound_rejected(capsys, command, text, position):
+    # Each exponent is within MAX_EXPONENT, and the last input has no ^.
+    code, out, err = run_cli(capsys, command, text)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: products exceed the bound of {MAX_WORK} "
+                   f"monomial steps (at position {position})\n")
 
 
 @pytest.mark.parametrize("command, text", [

@@ -30,8 +30,7 @@ CASES = {
 
 
 def _report(argv):
-    ns = cli.build_arg_parser().parse_args(argv)
-    return cli.run(cli._command_from_namespace(ns))
+    return cli.run(cli.build_arg_parser().parse_args(argv))
 
 
 def _rendered(report):

@@ -10,7 +10,8 @@ from kgsym.arith import XYPoly
 from kgsym.jet import ReducedJetPoly, reduced_J
 from kgsym.opalg import TDOperator, basis_op, kg_operator
 from kgsym.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_JET_INDEX,
-                          MAX_NESTING, ParseError, parse_jet, parse_operator)
+                          MAX_NESTING, MAX_WORK, ParseError, parse_jet,
+                          parse_operator)
 from kgsym.verify import random_operator, random_reduced_jet
 
 
@@ -56,6 +57,19 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(ParseError) as excinfo:
         parse_jet("u[1")
     assert "position" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_operator, "", "unexpected end of input (at position 0)"),
+    (parse_operator, "(x", "expected ')', found end of input (at position 2)"),
+    (parse_operator, "Dx + ", "unexpected end of input (at position 5)"),
+    (parse_jet, "u[1", "expected ']', found end of input (at position 3)"),
+    (parse_jet, "u[", "expected 'INT', found end of input (at position 2)"),
+    (parse_jet, "(u[0]", "expected ')', found end of input (at position 5)")])
+def test_end_of_input_is_named(parse, text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == message
 
 
 def test_negative_exponent_rejected():
@@ -384,11 +398,44 @@ def test_printed_values_parse_with_no_ring_operation(monkeypatch):
     assert calls == {"TDOperator.__mul__": 1, "TDOperator.compose": 1}
 
 
-def test_jet_power_fold_bound_uses_ring_power(monkeypatch):
-    # Up to MAX_EXPONENT jet variables a power folds; past it the ring
-    # power builds the monomial one product at a time.
+def test_jet_power_past_the_fold_bound_uses_product_steps(monkeypatch):
+    # Up to MAX_EXPONENT jet variables a power folds; past it, and for a
+    # power of a sum, repeated product steps build the value with no ring
+    # operation. An operator power composes only the steps that do not fold.
     calls = _count_ring_calls(monkeypatch)
     parse_jet(f"(2*u[0]*u[1])^{MAX_EXPONENT // 2}")
-    assert calls == {}
     parse_jet(f"(2*u[0]*u[1])^{MAX_EXPONENT // 2 + 1}")
-    assert calls["ReducedJetPoly.__pow__"] == 1
+    parse_jet("(u[0] - x*f[1])^3")
+    parse_operator("(x + 2*y)^2*(Dx - Dy)^3")
+    assert calls == {}
+    parse_operator("(x*Dx)^3")
+    assert calls == {"TDOperator.__mul__": 2, "TDOperator.compose": 2}
+
+
+def test_work_bound_counts_monomial_pairs():
+    # With no jet variable and no derivative, a product costs one step per
+    # pair of monomials. Past MAX_WORK the error names the bound and the
+    # position of the * or ^ whose product would pass it.
+    n = 600
+    left = " + ".join(f"x^{i}" for i in range(n))
+    right = " + ".join(f"x^{j}" for j in range(MAX_WORK // n))
+    assert MAX_WORK % n == 0
+    assert parse_jet(f"({left})*({right})").coefficient(()).terms[1, 0] == 2
+    for parse in (parse_operator, parse_jet):
+        with pytest.raises(ParseError) as excinfo:
+            parse(f"({left})*({right} + y)")
+        assert str(excinfo.value) == (
+            f"products exceed the bound of {MAX_WORK} monomial steps "
+            f"(at position {len(left) + 2})")
+    # Leibniz terms add to the cost of a pair: the 400 pairs Dx^k * x^j
+    # with k, j > 980 make more than MAX_WORK terms, so nothing is composed.
+    derivatives = " + ".join(f"Dx^{k}" for k in range(981, 1001))
+    powers = " + ".join(f"x^{j}" for j in range(981, 1001))
+    with pytest.raises(ParseError) as excinfo:
+        parse_operator(f"({derivatives})*({powers})")
+    assert str(MAX_WORK) in str(excinfo.value)
+    assert excinfo.value.position == len(derivatives) + 2
+
+
+def test_work_bound_admits_j_power_40():
+    assert parse_operator("J^40").order() == 40
