@@ -9,16 +9,14 @@ Printing either kind of value yields text that parses back to an equal value.
 While parsing, a value is a flat term map {(key, i, j): c}, the sum of the
 monomials c * x^i * y^j * key, where key is the derivative orders (p, q) of
 Dx^p Dy^q or the sorted jet variables; J is x*Dx - y*Dy. + and - add into
-the map, and a product of two maps is their distributed product whenever
-every pair of monomials multiplies to a monomial: in the jet grammar
-always, in the operator grammar unless a derivative on the left meets an x
-or y on the right. Only a product the fold cannot express, such as Dx*x,
-lifts both maps into TDOperators and composes them, so `Dx*x` is still
-`x*Dx + 1`. A power of one monomial folds the same way (in the jet grammar
-up to MAX_EXPONENT jet variables); any other power, such as (x + y)^2, is
-that many products. Every product is charged to one work budget per parse,
-MAX_WORK. The map becomes a value once, at the end, so printed text parses
-with no ring operation.
+the map, and a product of two maps is their distributed product, where a
+derivative on the left meeting an x or y on the right gives the Leibniz
+terms in closed form (Dx*x = x*Dx + 1). A power of one monomial multiplies
+its exponents, unless it mixes derivatives with x or y or holds more than
+MAX_EXPONENT jet variables; any other power, such as (x + y)^2, is that many
+products. Products, and the size of the coefficients they multiply out, are
+charged to one work budget per parse, MAX_WORK. The map becomes a value
+once, at the end, so no parse makes a ring operation.
 """
 
 from __future__ import annotations
@@ -53,9 +51,14 @@ MAX_EXPONENT = 1000
 
 # Most work one parse may spend on products, in monomial steps (see the
 # grammars' cost). A power that does not fold is that many products, so
-# J^1000 or (u[0]^1000)^1000 is a ParseError within seconds, while J^40 and
+# J^1000 or (u[0]^1000)^1000 is a ParseError within a second, while J^40 and
 # every printed value parse well within the bound.
 MAX_WORK = 300_000
+
+# Every coefficient a product or power multiplies out costs one monomial
+# step per BITS_PER_STEP bits of it, so huge integers such as
+# ((99^1000)^1000)^1000 also pass MAX_WORK instead of running for minutes.
+BITS_PER_STEP = 16
 
 # Largest |k| accepted in a jet variable u[k] or f[k]. Total derivatives and
 # the prolonged action shift an index one step at a time, so their work
@@ -116,15 +119,15 @@ def _found(tok) -> str:
 
 class _Parser:
     """Shared expression skeleton. The methods under parse return a term
-    map whose coefficients are nonzero rationals in normal form; lift turns
-    one into a value of value_type and flat turns a value back.
+    map whose coefficients are nonzero rationals in normal form; parse turns
+    the last one into a value of value_type.
 
     A subclass provides value_type; grammar, its name in error messages;
     one, the key of the monomial 1; named_atom(name), the map of a name
     other than x and y, or None; cost(a, b), the work in monomial steps of
-    the product of the maps a and b; and monomial_product(m1, m2) and
-    monomial_power(m, e) for monomials m = (key, i, j), each the monomial
-    of the result, or None when that is no monomial."""
+    the product of the maps a and b; and for monomials m = (key, i, j),
+    monomial_product(m1, m2), the (monomial, int factor) pairs that sum to
+    m1 * m2, and monomial_power(m, e), the monomial m^e or else None."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -139,26 +142,30 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {_found(tok)}", tok[2])
         return tok
 
-    def lift(self, terms):
-        """The value of the term map terms, its monomials grouped by key."""
-        grouped = {}
-        for (key, i, j), c in terms.items():
-            grouped.setdefault(key, {})[i, j] = c
-        return from_terms(self.value_type, {
-            key: from_terms(XYPoly, t) for key, t in grouped.items()})
+    def charge(self, steps, tok):
+        """Add steps to the work; ParseError at tok once it passes MAX_WORK."""
+        self.work += steps
+        if self.work > MAX_WORK:
+            raise ParseError(f"products exceed the bound of {MAX_WORK} "
+                             "monomial steps", tok[2])
 
-    @staticmethod
-    def flat(value):
-        """The term map of a value of the value type."""
-        return {(key, i, j): c for key, poly in value.terms.items()
-                for (i, j), c in poly.terms.items()}
+    def charged(self, c, tok, times=1):
+        """The rational c, once times its bits are charged to the work."""
+        bits = (c.bit_length() if type(c) is int else
+                c.numerator.bit_length() + c.denominator.bit_length())
+        self.charge(times * bits // BITS_PER_STEP, tok)
+        return c
 
     def parse(self):
         terms = self.expression()
         tok = self.tokens[self.pos]
         if tok[0] != "END":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return self.lift(terms)
+        grouped = {}
+        for (key, i, j), c in terms.items():
+            grouped.setdefault(key, {})[i, j] = c
+        return from_terms(self.value_type, {
+            key: from_terms(XYPoly, t) for key, t in grouped.items()})
 
     def expression(self):
         terms = self.factor()
@@ -204,6 +211,8 @@ class _Parser:
                 (m, c), = terms.items()
                 m = self.monomial_power(m, e)
                 if m is not None:
+                    if c != 1 and c != -1:
+                        self.charged(c, caret, e)
                     return {m: as_rational(c ** e)}
             base, terms = terms, {(self.one, 0, 0): 1}
             for _ in range(e):
@@ -211,23 +220,17 @@ class _Parser:
         return terms
 
     def product(self, a, b, tok):
-        """The term map of a * b, for the * or ^ token tok: the distributed
-        product when every pair of monomials multiplies to a monomial, else
-        the ring product of the lifted values. cost(a, b) is added to the
-        work of the parse first; ParseError at tok when that passes
-        MAX_WORK. A coefficient 1 multiplies nothing."""
-        self.work += self.cost(a, b)
-        if self.work > MAX_WORK:
-            raise ParseError(f"products exceed the bound of {MAX_WORK} "
-                             "monomial steps", tok[2])
+        """The term map of a * b for the * or ^ token tok. cost(a, b) is
+        charged first, then every coefficient made by a multiplication; a
+        coefficient or factor 1 multiplies nothing."""
+        self.charge(self.cost(a, b), tok)
         pairs = []
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = self.monomial_product(m1, m2)
-                if m is None:
-                    return self.flat(self.lift(a) * self.lift(b))
-                pairs.append((m, c2 if c1 == 1 else c1 if c2 == 1
-                              else c1 * c2))
+                c = (c2 if c1 == 1 else c1 if c2 == 1
+                     else self.charged(c1 * c2, tok))
+                for m, f in self.monomial_product(m1, m2):
+                    pairs.append((m, c if f == 1 else self.charged(c * f, tok)))
         return accumulate({}, pairs)
 
     def rational(self, first):
@@ -277,6 +280,15 @@ class _Parser:
         return terms
 
 
+def _leibniz_factors(p, i):
+    """The factors C(p, m) i!/(i - m)! of x^(i - m) Dx^(p - m) in Dx^p * x^i,
+    for m = 0 .. min(p, i); each step from the one before is exact."""
+    factors = [1]
+    for m in range(min(p, i)):
+        factors.append(factors[-1] * (p - m) * (i - m) // (m + 1))
+    return factors
+
+
 class _OperatorParser(_Parser):
     value_type, grammar, one = TDOperator, "operator", (0, 0)
 
@@ -290,8 +302,8 @@ class _OperatorParser(_Parser):
         return None
 
     # x and y commute, and so do Dx and Dy, so two monomials multiply by
-    # adding exponents unless a derivative on the left meets an x or y on the
-    # right: then Leibniz adds lower-order terms (Dx*x = x*Dx + 1).
+    # adding exponents, plus the lower-order Leibniz terms where a derivative
+    # on the left meets an x or y on the right (Dx*x = x*Dx + 1).
 
     def cost(self, a, b):
         """One step per pair of monomials, and one more per extra term the
@@ -307,9 +319,12 @@ class _OperatorParser(_Parser):
     def monomial_product(self, m1, m2):
         (p1, q1), i1, j1 = m1
         (p2, q2), i2, j2 = m2
-        if (p1 or q1) and (i2 or j2):
-            return None
-        return (p1 + p2, q1 + q2), i1 + i2, j1 + j2
+        if not ((p1 or q1) and (i2 or j2)):
+            return ((((p1 + p2, q1 + q2), i1 + i2, j1 + j2), 1),)
+        ys = _leibniz_factors(q1, j2)
+        return [(((p1 + p2 - m, q1 + q2 - n), i1 + i2 - m, j1 + j2 - n), a * b)
+                for m, a in enumerate(_leibniz_factors(p1, i2))
+                for n, b in enumerate(ys)]
 
     def monomial_power(self, m, e):
         (p, q), i, j = m
@@ -337,10 +352,9 @@ class _JetParser(_Parser):
                              f"|k| <= {MAX_JET_INDEX}", tok[2])
         return {(((name, index),), 0, 0): 1}
 
-    # The product is commutative, so every product folds, and every power
-    # but one of more than MAX_EXPONENT jet variables: ((u[0]^1000)^1000)^1000
-    # would otherwise allocate 10^9 of them in one step, where products
-    # build them one at a time and MAX_WORK stops them early.
+    # Every power of a monomial folds but one of more than MAX_EXPONENT jet
+    # variables: ((u[0]^1000)^1000)^1000 would allocate 10^9 of them in one
+    # step, where products build them one at a time and MAX_WORK stops them.
 
     def cost(self, a, b):
         """One step per pair of monomials and per jet variable of a pair."""
@@ -352,7 +366,8 @@ class _JetParser(_Parser):
         return steps
 
     def monomial_product(self, m1, m2):
-        return tuple(sorted(m1[0] + m2[0])), m1[1] + m2[1], m1[2] + m2[2]
+        return (((tuple(sorted(m1[0] + m2[0])), m1[1] + m2[1], m1[2] + m2[2]),
+                 1),)
 
     def monomial_power(self, m, e):
         key, i, j = m

@@ -348,16 +348,27 @@ def test_exponent_bound_rejected(capsys):
 
 
 _SUM = "+".join(f"u[{k}]" for k in range(300))
+_NINES = "9" * 4000
 
 
 @pytest.mark.parametrize("command, text, position", [
     ("adjoint", "J^1000", 1),
     ("check-symmetry", "(u[0]^1000)^1000", 11),
     ("check-symmetry", "(x+y+u[0])^1000", 10),
-    ("check-symmetry", f"({_SUM})*({_SUM})*({_SUM})", 2 * len(_SUM) + 5)],
-    ids=["J_power", "nested_power", "sum_power", "product_of_sums"])
+    ("check-symmetry", f"({_SUM})*({_SUM})*({_SUM})", 2 * len(_SUM) + 5),
+    ("adjoint", "(99^1000)^1000*x", 9),
+    ("adjoint", "((7^1000)^1000)^3*x", 15),
+    ("adjoint", "((7^1000)^1000)^10*x", 15),
+    ("adjoint", "((99^1000)^1000)^1000", 10),
+    ("adjoint", f"({_NINES}*x + Dx)^20", len(_NINES) + 9),
+    ("check-symmetry", f"({_NINES}*u[0] + u[1])^40", len(_NINES) + 14)],
+    ids=["J_power", "nested_power", "sum_power", "product_of_sums",
+         "coefficient_power", "coefficient_cube", "coefficient_power_10",
+         "nested_coefficient_power", "operator_sum_power",
+         "jet_sum_power"])
 def test_work_bound_rejected(capsys, command, text, position):
-    # Each exponent is within MAX_EXPONENT, and the last input has no ^.
+    # Each exponent is within MAX_EXPONENT, and the fourth input has no ^.
+    # The last six are charged for the bits of the coefficients they make.
     code, out, err = run_cli(capsys, command, text)
     assert code == 2
     assert out == ""
