@@ -138,6 +138,16 @@ def from_terms(cls, terms):
     return result
 
 
+def grouped(cls, flat):
+    """An instance of cls from the clean flat term map {(key, i, j): c}:
+    the monomials c x^i y^j of each key gathered into one XYPoly."""
+    terms = {}
+    for (key, i, j), c in flat.items():
+        terms.setdefault(key, {})[i, j] = c
+    return from_terms(cls, {key: from_terms(XYPoly, t)
+                            for key, t in terms.items()})
+
+
 class TermMap:
     """Value contract of XYPoly, TDOperator and the jet polynomials: terms
     maps monomial keys to nonzero coefficients, and values are immutable by

@@ -3,50 +3,57 @@ polynomial coefficients.
 
 An operator is a finite sum a_pq(x, y) * Dx^p * Dy^q with all coefficients to
 the left of all derivations; the normal form is unique, so operator equality
-is coefficient-map equality. Composition re-normal-orders by the Leibniz rule
-Dx^p Dy^q o b = sum C(p,m) C(q,n) (d^m/dx^m d^n/dy^n b) Dx^(p-m) Dy^(q-n).
+is coefficient-map equality. monomial_product re-normal-orders by the
+Leibniz rule in closed form on monomials, Dx^p o x^i = sum C(p,m) i!/(i-m)!
+x^(i-m) Dx^(p-m) and likewise in y; compose, adjoint and the parser use it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .arith import (TermMap, XYPoly, accumulate, as_rational, from_terms,
-                    int_key, join_signed, monomial_str, poly_coefficient,
-                    power, scalar_prefixed, scale_terms)
+                    grouped, int_key, join_signed, monomial_str,
+                    poly_coefficient, power, scalar_prefixed, scale_terms)
 
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
 
 
-def _differentiated(cache, m, n):
-    """The term map of d^m/dx^m d^n/dy^n applied to every coefficient of the
-    term map cache[(0, 0)], memoized in cache. (m, n - 1), or (m - 1, 0)
-    when n is 0, must already be cached."""
-    t = cache.get((m, n))
-    if t is None:
-        prev, var = ((m, n - 1), "y") if n else ((m - 1, 0), "x")
-        t = cache[(m, n)] = {key: dc for key, c in cache[prev].items()
-                             if (dc := c.diff(var))}
-    return t
+def _leibniz_factors(p, i):
+    """The factors C(p, m) i!/(i - m)! of x^(i - m) Dx^(p - m) in Dx^p o x^i,
+    for m = 0 .. min(p, i); each step from the one before is exact."""
+    factors = [1]
+    for m in range(min(p, i)):
+        factors.append(factors[-1] * (p - m) * (i - m) // (m + 1))
+    return factors
 
 
-def _leibniz(p, q, cache, sign=1):
-    """(key, coefficient) pairs of sign * Dx^p Dy^q o b, where cache holds
-    the term map of b at (0, 0). The sums stop at the first derivative of b
-    that vanishes, so the work is bounded by the degree of b's coefficients,
-    not by p and q."""
-    for m in range(p + 1):
-        if not _differentiated(cache, m, 0):
-            break
-        for n in range(q + 1):
-            db = _differentiated(cache, m, n)
-            if not db:
-                break
-            k = sign * comb(p, m) * comb(q, n)
-            for (r, s), c in db.items():
-                yield (p - m + r, q - n + s), (c if k == 1 else c * k)
+def monomial_product(m1, m2):
+    """The (monomial, int factor) pairs that sum to m1 o m2 for monomials
+    ((p, q), i, j) = x^i y^j Dx^p Dy^q: exponents add, plus the Leibniz terms
+    where a derivative of m1 meets an x or y of m2 (Dx o x = x Dx + 1)."""
+    (p1, q1), i1, j1 = m1
+    (p2, q2), i2, j2 = m2
+    if not ((p1 or q1) and (i2 or j2)):
+        return ((((p1 + p2, q1 + q2), i1 + i2, j1 + j2), 1),)
+    ys = _leibniz_factors(q1, j2)
+    return [(((p1 + p2 - m, q1 + q2 - n), i1 + i2 - m, j1 + j2 - n), a * b)
+            for m, a in enumerate(_leibniz_factors(p1, i2))
+            for n, b in enumerate(ys)]
+
+
+def _monomials(op):
+    """The ((p, q), i, j) monomials of op with their coefficients."""
+    return [((pq, i, j), c) for pq, poly in op.terms.items()
+            for (i, j), c in poly.terms.items()]
+
+
+def _product_sum(triples):
+    """The operator sum of c * (m1 o m2) over the (m1, m2, c) triples."""
+    return grouped(TDOperator, accumulate({}, (
+        (m, c if f == 1 else c * f)
+        for m1, m2, c in triples for m, f in monomial_product(m1, m2))))
 
 
 class TDOperator(TermMap):
@@ -122,21 +129,18 @@ class TDOperator(TermMap):
         return power(TDOperator.identity(), self, exponent)
 
     def compose(self, other: "TDOperator") -> "TDOperator":
-        """Normal-ordered product self o other, by the Leibniz rule."""
-        cache = {(0, 0): other.terms}
-        out = {}
-        for (p, q), a in self.terms.items():
-            lifted = accumulate({}, _leibniz(p, q, cache))
-            accumulate(out, ((key, a * c) for key, c in lifted.items()))
-        return from_terms(TDOperator, out)
+        """Normal-ordered product self o other: the distributed product of
+        their monomials."""
+        b = _monomials(other)
+        return _product_sum((m1, m2, c1 * c2)
+                            for m1, c1 in _monomials(self) for m2, c2 in b)
 
     def adjoint(self) -> "TDOperator":
-        """Formal adjoint: (a * Dx^p * Dy^q)+ = (-1)^(p+q) Dx^p Dy^q o a."""
-        out = {}
-        for (p, q), c in self.terms.items():
-            accumulate(out, _leibniz(p, q, {(0, 0): {(0, 0): c}},
-                                     (-1) ** (p + q)))
-        return from_terms(TDOperator, out)
+        """Formal adjoint: (c x^i y^j Dx^p Dy^q)+ = (-1)^(p+q) Dx^p Dy^q o
+        c x^i y^j."""
+        return _product_sum((((p, q), 0, 0), ((0, 0), i, j),
+                             -c if (p + q) % 2 else c)
+                            for ((p, q), i, j), c in _monomials(self))
 
     def __str__(self):
         if not self.terms:

@@ -9,9 +9,9 @@ Printing either kind of value yields text that parses back to an equal value.
 While parsing, a value is a flat term map {(key, i, j): c}, the sum of the
 monomials c * x^i * y^j * key, where key is the derivative orders (p, q) of
 Dx^p Dy^q or the sorted jet variables; J is x*Dx - y*Dy. + and - add into
-the map, and a product of two maps is their distributed product, where a
-derivative on the left meeting an x or y on the right gives the Leibniz
-terms in closed form (Dx*x = x*Dx + 1). A power of one monomial multiplies
+the map, and a product of two maps is their distributed product. Operator
+monomials multiply by opalg.monomial_product, the package's one Leibniz
+rule, in closed form (Dx*x = x*Dx + 1). A power of one monomial multiplies
 its exponents, unless it mixes derivatives with x or y or holds more than
 MAX_EXPONENT jet variables; any other power, such as (x + y)^2, is that many
 products. Products, and the size of the coefficients they multiply out, are
@@ -24,7 +24,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .arith import XYPoly, accumulate, as_rational, from_terms
+from . import opalg
+from .arith import accumulate, as_rational, grouped
 from .jet import ReducedJetPoly
 from .opalg import TDOperator
 
@@ -120,14 +121,15 @@ def _found(tok) -> str:
 class _Parser:
     """Shared expression skeleton. The methods under parse return a term
     map whose coefficients are nonzero rationals in normal form; parse turns
-    the last one into a value of value_type.
+    the last one into a value of value_type with arith.grouped.
 
     A subclass provides value_type; grammar, its name in error messages;
     one, the key of the monomial 1; named_atom(name), the map of a name
     other than x and y, or None; cost(a, b), the work in monomial steps of
     the product of the maps a and b; and for monomials m = (key, i, j),
     monomial_product(m1, m2), the (monomial, int factor) pairs that sum to
-    m1 * m2, and monomial_power(m, e), the monomial m^e or else None."""
+    m1 * m2 (opalg's for operators), and monomial_power(m, e), the monomial
+    m^e or else None."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -161,11 +163,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok[0] != "END":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        grouped = {}
-        for (key, i, j), c in terms.items():
-            grouped.setdefault(key, {})[i, j] = c
-        return from_terms(self.value_type, {
-            key: from_terms(XYPoly, t) for key, t in grouped.items()})
+        return grouped(self.value_type, terms)
 
     def expression(self):
         terms = self.factor()
@@ -280,15 +278,6 @@ class _Parser:
         return terms
 
 
-def _leibniz_factors(p, i):
-    """The factors C(p, m) i!/(i - m)! of x^(i - m) Dx^(p - m) in Dx^p * x^i,
-    for m = 0 .. min(p, i); each step from the one before is exact."""
-    factors = [1]
-    for m in range(min(p, i)):
-        factors.append(factors[-1] * (p - m) * (i - m) // (m + 1))
-    return factors
-
-
 class _OperatorParser(_Parser):
     value_type, grammar, one = TDOperator, "operator", (0, 0)
 
@@ -301,10 +290,6 @@ class _OperatorParser(_Parser):
             return {((1, 0), 1, 0): 1, ((0, 1), 0, 1): -1}
         return None
 
-    # x and y commute, and so do Dx and Dy, so two monomials multiply by
-    # adding exponents, plus the lower-order Leibniz terms where a derivative
-    # on the left meets an x or y on the right (Dx*x = x*Dx + 1).
-
     def cost(self, a, b):
         """One step per pair of monomials, and one more per extra term the
         Leibniz rule makes where a derivative on the left meets an x or y
@@ -316,15 +301,7 @@ class _OperatorParser(_Parser):
                     steps += (min(p, i) + 1) * (min(q, j) + 1) - 1
         return steps
 
-    def monomial_product(self, m1, m2):
-        (p1, q1), i1, j1 = m1
-        (p2, q2), i2, j2 = m2
-        if not ((p1 or q1) and (i2 or j2)):
-            return ((((p1 + p2, q1 + q2), i1 + i2, j1 + j2), 1),)
-        ys = _leibniz_factors(q1, j2)
-        return [(((p1 + p2 - m, q1 + q2 - n), i1 + i2 - m, j1 + j2 - n), a * b)
-                for m, a in enumerate(_leibniz_factors(p1, i2))
-                for n, b in enumerate(ys)]
+    monomial_product = staticmethod(opalg.monomial_product)
 
     def monomial_power(self, m, e):
         (p, q), i, j = m

@@ -284,7 +284,10 @@ def test_monomial_fold_keeps_noncommuting_products():
 def test_leibniz_closed_form_matches_composition():
     # Every monomial product Dx^p Dy^q * x^i y^j with p, q, i, j <= 5, both
     # one factor at a time and as one pair of monomials, against the
-    # composition of the ring operations.
+    # composition of the ring operations. Both sides run on
+    # opalg.monomial_product, so this checks the parser's products against
+    # TDOperator.compose, not the Leibniz rule itself;
+    # test_sympy_oracle.py::test_leibniz_monomials_match_sympy checks that.
     dx, dy = TDOperator.dx(), TDOperator.dy()
     x, y = TDOperator.mul_by(_X), TDOperator.mul_by(_Y)
     for p, q, i, j in itertools.product(range(6), repeat=4):

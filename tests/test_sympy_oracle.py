@@ -1,15 +1,17 @@
 """Independent checks in sympy: operator composition and the formal adjoint
-are applied to a generic function g(x, y), the Euler operator is compared
-with sympy's Euler-Lagrange equations, and the exact kernel and rank are
-compared with sympy's own on random sparse rational matrices."""
+are applied to a generic function g(x, y), and on monomials of high order
+compared through operator symbols; the Euler operator is compared with
+sympy's Euler-Lagrange equations, and the exact kernel and rank are compared
+with sympy's own on random sparse rational matrices."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from kgsym.arith import RationalMatrix, nullspace, rank
+from kgsym.arith import RationalMatrix, XYPoly, nullspace, rank
 from kgsym.jet import FreeJetPoly, euler_operator
+from kgsym.opalg import TDOperator
 from kgsym.verify import random_operator, random_xypoly
 
 sympy = pytest.importorskip("sympy")
@@ -49,6 +51,40 @@ def test_compose_matches_sympy(seed):
 def test_adjoint_matches_sympy(seed):
     a = random_operator(random.Random(1000 + seed), max_order=4)
     assert sympy.expand(_apply(a.adjoint(), g) - _adjoint_applied(a, g)) == 0
+
+
+a, b = sympy.symbols("a b")
+
+
+def _symbol(op):
+    """The symbol of op, exp(-ax - by) op exp(ax + by) = sum a_pq a^p b^q,
+    a polynomial in x, y, a, b that determines op."""
+    return sympy.Poly.from_dict(
+        {(i, j, p, q): sympy.Rational(c.numerator, c.denominator)
+         for (p, q), poly in op.terms.items()
+         for (i, j), c in poly.terms.items()}, x, y, a, b)
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_leibniz_monomials_match_sympy(i):
+    # random_operator's coefficients have degree <= 2, so the tests above
+    # reach Leibniz orders m, n <= 2 only. Here Dx^p Dy^q o x^i y^j and the
+    # adjoint of x^i y^j Dx^p Dy^q, p, q, j <= 5, are compared with the symbol
+    # exp(-ax - by) Dx^p Dy^q (x^i y^j exp(ax + by)), which sympy builds one
+    # derivative at a time by the product rule: P -> dP/dx + a P.
+    for j in range(6):
+        mono = XYPoly({(i, j): 1})
+        after_x = sympy.Poly(x**i * y**j, x, y, a, b)
+        for p in range(6):
+            expected = after_x
+            for q in range(6):
+                op = TDOperator({(p, q): 1}).compose(TDOperator.mul_by(mono))
+                assert _symbol(op) == expected, (p, q, i, j)
+                adjoint = TDOperator({(p, q): mono}).adjoint()
+                assert _symbol(adjoint) == (-1) ** (p + q) * expected, (
+                    p, q, i, j)
+                expected = expected.diff(y) + b * expected
+            after_x = after_x.diff(x) + a * after_x
 
 
 def _free_jet(p):
