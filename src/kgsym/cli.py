@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import verify
 from .noether import (MINIMAL_FAMILIES, current_C0, current_Ctilde,
                       current_minimal, is_variational_linear)
-from .opalg import basis_op, commutator
+from .opalg import basis_op, basis_shapes, commutator
 from .parser import ParseError, parse_jet, parse_operator
 from .symmetry import (dimension_table, is_generalized_symmetry,
                        reduced_bracket, solve_linear_determining)
@@ -192,14 +192,9 @@ def _cmd_variational(args: dict) -> Report:
 
 def _cmd_variational_basis(args: dict) -> Report:
     n = _nonnegative(args, "order", MAX_SKEW_ORDER)
-    elements = []
-    if n % 2 == 1:
-        entries = [("Q", n, 0)]
-        entries += [("Q", k, n - k) for k in range(n)]
-        entries += [("Qbar", k, n - k) for k in range(n)]
-        for kind, k, l in entries:
-            op = basis_op(kind, k, l)
-            elements.append({"label": f"{kind}[{k},{l}]", "text": str(op)})
+    elements = [{"label": f"{kind}[{k},{l}]",
+                 "text": str(basis_op(kind, k, l))}
+                for kind, k, l in (basis_shapes(n) if n % 2 == 1 else [])]
     return Report(
         command="variational-basis", arguments={"order": str(n)},
         result={"kind": "operator_list", "order": str(n),

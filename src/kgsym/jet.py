@@ -314,9 +314,9 @@ def reduced_J(p: ReducedJetPoly) -> ReducedJetPoly:
 
 
 def apply_operator_reduced(a: TDOperator) -> ReducedJetPoly:
-    """Apply an operator to u on shell: Dx^p Dy^q u reduces to u_(p-q)."""
-    return from_terms(ReducedJetPoly, accumulate(
-        {}, (((("u", p - q),), c) for (p, q), c in a.terms.items())))
+    """Apply an operator to u on shell: the reduction of its off-shell
+    application, so Dx^p Dy^q u becomes u_(p-q)."""
+    return reduce(apply_operator_free(a))
 
 
 def apply_operator_free(a: TDOperator) -> FreeJetPoly:

@@ -22,7 +22,7 @@ _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
 
 MINIMAL_FAMILIES = ("C1", "C1bar", "C2", "C2bar")
-CURRENT_FAMILIES = ("C0", "Ctilde", *MINIMAL_FAMILIES, "GEN")
+CURRENT_FAMILIES = ("C0", "Ctilde", *MINIMAL_FAMILIES)
 
 
 def _integer_multiple(value):

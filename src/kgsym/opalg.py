@@ -178,6 +178,13 @@ def basis_op(kind: str, k: int, l: int) -> TDOperator:
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
+def basis_shapes(order: int):
+    """(kind, k, l) of the 2*order + 1 basis words with k + l = order:
+    Q[order,0], then Q[k,order-k] and then Qbar[k,order-k] for k < order."""
+    return [("Q", order, 0), *(("Q", k, order - k) for k in range(order)),
+            *(("Qbar", k, order - k) for k in range(order))]
+
+
 def monomial_op(side: str, k: int, l: int, shift=0) -> TDOperator:
     """The word (J + shift)^k o Dx^l (side X) or (J + shift)^k o Dy^l
     (side Y), normal-ordered; shift is a rational constant. With e(m, n) =

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import XYPoly, sparse_kernel, terms_rank
+from .arith import grouped, sparse_kernel, terms_rank
 from .jet import (ReducedJetPoly, eval_exp_family, prolonged_action,
                   require_field_u)
 
@@ -67,17 +67,14 @@ class DeterminingSystem:
         return cls(order=n, degree=d, unknowns=unknowns, images=images)
 
     def solve(self) -> SymmetryBasis:
-        """The reduced-echelon kernel basis, read as characteristics."""
-        elements = []
-        for vec in sparse_kernel(self.images):
-            coeffs = {}
-            for col, v in vec.items():
-                k, i, j = self.unknowns[col]
-                coeffs.setdefault(k, {})[(i, j)] = v
-            elements.append(ReducedJetPoly({(("u", k),): XYPoly(poly)
-                                            for k, poly in coeffs.items()}))
+        """The reduced-echelon kernel basis, read as characteristics: the
+        unknown (k, i, j) is the flat jet key of x^i y^j u_k."""
+        keys = [((("u", k),), i, j) for k, i, j in self.unknowns]
+        elements = tuple(
+            grouped(ReducedJetPoly, {keys[col]: v for col, v in vec.items()})
+            for vec in sparse_kernel(self.images))
         return SymmetryBasis(order=self.order, degree=self.degree,
-                             elements=tuple(elements))
+                             elements=elements)
 
 
 @lru_cache(maxsize=None)

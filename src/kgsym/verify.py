@@ -17,7 +17,8 @@ from .noether import (count_order_n_currents, current_C0, current_Ctilde,
                       current_minimal, is_cl_characteristic,
                       is_variational_linear, lift_linear_characteristic,
                       minimal_family_members, symmetry_action_on_current)
-from .opalg import TDOperator, basis_op, commutator, kg_operator, monomial_op
+from .opalg import (TDOperator, basis_op, basis_shapes, commutator,
+                    kg_operator, monomial_op)
 from .parser import parse_jet, parse_operator
 from .symmetry import (dimension_table, independence_rank, reduced_bracket,
                        solve_linear_determining)
@@ -43,21 +44,11 @@ def _checked(name: str, failures, summary: str) -> CheckResult:
                        "; ".join(failures) if failures else summary)
 
 
-def _basis_shapes(max_total: int):
-    """(kind, k, l) of every basis operator with k + l <= max_total, by
-    total order, then k, then Q before Qbar (which needs l >= 1)."""
-    for total in range(max_total + 1):
-        for k in range(total + 1):
-            l = total - k
-            yield "Q", k, l
-            if l:
-                yield "Qbar", k, l
-
-
 def _skew_basis_ops(max_total: int):
     """All skew-adjoint basis operators with k + l <= max_total (odd k + l)."""
     return [(kind, k, l, basis_op(kind, k, l))
-            for kind, k, l in _basis_shapes(max_total) if (k + l) % 2]
+            for t in range(1, max_total + 1, 2)
+            for kind, k, l in basis_shapes(t)]
 
 
 def check_dimension_tables(max_order: int = 5) -> CheckResult:
@@ -77,29 +68,27 @@ def check_dimension_tables(max_order: int = 5) -> CheckResult:
                     ", ".join(f"n={n}: {g}/{c}" for n, g, c in rows))
 
 
-def check_adjoint_parity(max_index: int = 4) -> CheckResult:
-    """adjoint(basis_op) = (-1)^(k+l) basis_op for k, l up to max_index."""
+def check_adjoint_parity() -> CheckResult:
+    """adjoint(basis_op) = (-1)^(k+l) basis_op for k, l <= 4."""
     failures = []
     count = 0
-    for k in range(max_index + 1):
-        for l in range(max_index + 1):
-            for kind in ("Q", "Qbar"):
-                if kind == "Qbar" and l == 0:
-                    continue
+    for t in range(9):
+        for kind, k, l in basis_shapes(t):
+            if k <= 4 and l <= 4:
                 op = basis_op(kind, k, l)
-                sign = -1 if (k + l) % 2 else 1
                 count += 1
-                if op.adjoint() != op.scale(sign):
+                if op.adjoint() != op.scale((-1) ** t):
                     failures.append(f"{kind}[{k},{l}]")
     return _checked("adjoint parity", failures, f"{count} operators checked")
 
 
-def check_centrality(max_total: int = 6) -> CheckResult:
-    """The equation operator commutes with every recursion-operator word."""
+def check_centrality() -> CheckResult:
+    """The equation operator commutes with every recursion-operator word
+    X[k,l] and Y[k,l] of k + l <= 6."""
     kg = kg_operator()
     failures = []
     count = 0
-    for total in range(max_total + 1):
+    for total in range(7):
         for k in range(total + 1):
             l = total - k
             for side in ("X", "Y"):
@@ -129,14 +118,16 @@ def check_structure_constants() -> CheckResult:
     return _checked("structure constants", failures, "all relations hold")
 
 
-def check_variational_parity(max_total: int = 7) -> CheckResult:
-    """Linear basis operators are variational exactly when k + l is odd."""
+def check_variational_parity() -> CheckResult:
+    """Linear basis operators of k + l <= 7 are variational exactly when
+    k + l is odd."""
     failures = []
     count = 0
-    for kind, k, l in _basis_shapes(max_total):
-        count += 1
-        if is_variational_linear(basis_op(kind, k, l)) != ((k + l) % 2 == 1):
-            failures.append(f"{kind}[{k},{l}]")
+    for t in range(8):
+        for kind, k, l in basis_shapes(t):
+            count += 1
+            if is_variational_linear(basis_op(kind, k, l)) != (t % 2 == 1):
+                failures.append(f"{kind}[{k},{l}]")
     return _checked("variational parity", failures,
                     f"{count} operators checked")
 
@@ -191,13 +182,14 @@ def check_conservation() -> CheckResult:
     return _checked("conservation", failures, f"{count} currents verified")
 
 
-def check_generating_action(max_total: int = 3) -> CheckResult:
+def check_generating_action() -> CheckResult:
     """Acting on the generating current (-u^2, u_x^2) reproduces the uniform
-    currents and the barred superposition current componentwise."""
+    currents of the skew basis operators with k + l <= 3 and the barred
+    superposition current componentwise."""
     failures = []
     generating = current_minimal("C2", 0, 0)
     half = Fraction(1, 2)
-    for kind, k, l, op in _skew_basis_ops(max_total):
+    for kind, k, l, op in _skew_basis_ops(3):
         eta = apply_operator_reduced(op).total_derivative("y") * half
         candidate = symmetry_action_on_current(eta, generating)
         expected = current_Ctilde(op)
@@ -231,11 +223,9 @@ def check_independence(max_order: int = 5) -> CheckResult:
     combination vanishing on the exponential solution family."""
     failures = []
     for n in range(max_order + 1):
-        chars = [apply_operator_reduced(monomial_op("X", n, 0))]
-        for k in range(n):
-            chars.append(apply_operator_reduced(monomial_op("X", k, n - k)))
-            chars.append(apply_operator_reduced(monomial_op("Y", k, n - k)))
-        r = independence_rank(chars)
+        words = [monomial_op("X" if kind == "Q" else "Y", k, l)
+                 for kind, k, l in basis_shapes(n)]
+        r = independence_rank(map(apply_operator_reduced, words))
         if r != 2 * n + 1:
             failures.append(f"rank({n})={r}!={2 * n + 1}")
     return _checked("independence on the solution family", failures,
@@ -278,20 +268,20 @@ def random_reduced_jet(rng, max_order=4, max_degree=2, max_terms=4,
     return ReducedJetPoly(terms)
 
 
-def check_parser_round_trip(count: int = 1000) -> CheckResult:
-    """print-then-parse is the identity on random operators and jet polys."""
+def check_parser_round_trip() -> CheckResult:
+    """print-then-parse is the identity on 1000 random operators and 1000
+    random jet polynomials."""
     rng = random.Random(ROUND_TRIP_SEED)
     failures = []
-    for i in range(count):
+    for i in range(1000):
         op = random_operator(rng)
         if parse_operator(str(op)) != op:
             failures.append(f"operator #{i}: {op}")
-    for i in range(count):
+    for i in range(1000):
         p = random_reduced_jet(rng)
         if parse_jet(str(p)) != p:
             failures.append(f"jet #{i}: {p}")
-    return _checked("parser round trip", failures[:5],
-                    f"{2 * count} round trips")
+    return _checked("parser round trip", failures[:5], "2000 round trips")
 
 
 def run_all(max_order: int = 5):

@@ -20,12 +20,12 @@ def test_criterion_01_dimension_tables():
 
 def test_criterion_02_adjoint_parity():
     # adjoint(basis_op) = (-1)^(k+l) basis_op for k, l <= 4, both families
-    _report(verify.check_adjoint_parity(max_index=4))
+    _report(verify.check_adjoint_parity())
 
 
 def test_criterion_03_centrality():
     # the equation operator commutes with every recursion word of k+l <= 6
-    _report(verify.check_centrality(max_total=6))
+    _report(verify.check_centrality())
 
 
 def test_criterion_04_structure_constants():
@@ -35,7 +35,7 @@ def test_criterion_04_structure_constants():
 
 def test_criterion_05_variational_parity():
     # variational exactly when k+l is odd, for k+l <= 7
-    _report(verify.check_variational_parity(max_total=7))
+    _report(verify.check_variational_parity())
 
 
 def test_criterion_06_reduced_lift_counterexample():
@@ -54,7 +54,7 @@ def test_criterion_07_conservation():
 def test_criterion_08_generating_action():
     # symmetry actions on (-u^2, u_x^2) reproduce the uniform and barred
     # currents componentwise for all skew basis operators with k+l <= 3
-    _report(verify.check_generating_action(max_total=3))
+    _report(verify.check_generating_action())
 
 
 def test_criterion_09_counting():
@@ -70,4 +70,4 @@ def test_criterion_10_independence():
 
 def test_criterion_11_parser_round_trip():
     # 1000 randomized round trips each for operators and jet polynomials
-    _report(verify.check_parser_round_trip(count=1000))
+    _report(verify.check_parser_round_trip())

@@ -17,9 +17,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = {
     "verify_all_2": ["verify-all", "--max-order", "2"],
+    "verify_all_5": ["verify-all", "--max-order", "5"],
     "dims_4": ["dims", "--max-order", "4"],
     "basis_3_6": ["basis", "--order", "3", "--degree", "6"],
     "variational_basis_5": ["variational-basis", "--order", "5"],
+    "variational_basis_7": ["variational-basis", "--order", "7"],
     "current_C1_2_1": ["current", "C1", "2", "1"],
     "current_C2bar_1_2": ["current", "C2bar", "1", "2"],
     "current_Ctilde": ["current", "Ctilde", "(J + 1)^3 * Dx^2"],

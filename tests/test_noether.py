@@ -13,7 +13,8 @@ from kgsym.noether import (ConservedCurrent, count_order_n_currents,
                            is_cl_characteristic, is_variational_linear,
                            lift_linear_characteristic, minimal_family_members,
                            onshell_divergence, symmetry_action_on_current)
-from kgsym.opalg import TDOperator, basis_op, kg_operator, monomial_op
+from kgsym.opalg import (TDOperator, basis_op, basis_shapes, kg_operator,
+                         monomial_op)
 from kgsym.symmetry import independence_rank
 
 X = XYPoly.variable("x")
@@ -29,14 +30,15 @@ def f(k):
 
 
 def skew_basis_ops(max_total):
-    ops = []
-    for total in range(1, max_total + 1, 2):
-        for k in range(total + 1):
-            l = total - k
-            ops.append(basis_op("Q", k, l))
-            if l >= 1:
-                ops.append(basis_op("Qbar", k, l))
-    return ops
+    return [basis_op(*shape) for total in range(1, max_total + 1, 2)
+            for shape in basis_shapes(total)]
+
+
+def basis_words(max_total):
+    """Every basis word Q[k,l] and Qbar[k,l] with k + l <= max_total, both
+    parities, with whether it is skew-adjoint (k + l odd)."""
+    return [(basis_op(*shape), total % 2 == 1)
+            for total in range(max_total + 1) for shape in basis_shapes(total)]
 
 
 def test_variational_examples():
@@ -193,8 +195,8 @@ def test_skew_characteristics_pass_euler_test():
 
 
 def test_conserved_current_constructor_rejects_bad_pairs():
-    with pytest.raises(ValueError):
-        ConservedCurrent(family="GEN", t=u(0), x=u(0), order=0)
+    with pytest.raises(ValueError, match="not conserved"):
+        ConservedCurrent(family="C0", t=u(0), x=u(0), order=0)
     with pytest.raises(ValueError):
         ConservedCurrent(family="C2", t=-u(0) * u(0), x=u(1) * u(1), order=2)
     with pytest.raises(ValueError):
@@ -238,6 +240,14 @@ def test_family_enumeration():
         ("C1bar", 0, 0), ("C2", 0, 0), ("C2bar", 0, 0)]
     with pytest.raises(ValueError):
         minimal_family_members(0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_skew_words_match_minimal_currents(n):
+    # the 4n-1 conservation laws of order n have the skew words of order
+    # 2n-1 as characteristics
+    assert (len(basis_shapes(2 * n - 1)) == len(minimal_family_members(n))
+            == 4 * n - 1)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -298,21 +308,11 @@ def test_ctilde_currents_match_free_route():
 SCALES = (-1, Fraction(5, 2), Fraction(-3, 7), Fraction(1, 9))
 
 
-def basis_shapes(max_total):
-    """Every basis word Q[k,l] and Qbar[k,l] with k + l <= max_total, both
-    parities, with whether it is skew-adjoint (k + l odd)."""
-    for total in range(max_total + 1):
-        for k in range(total + 1):
-            l = total - k
-            for kind in ("Q", "Qbar") if l >= 1 else ("Q",):
-                yield basis_op(kind, k, l), total % 2 == 1
-
-
 @pytest.mark.parametrize("c", SCALES)
 def test_variational_test_is_scale_invariant(c):
     # The test runs on the integer multiple of its input; every nonzero
     # multiple must get the unscaled answer.
-    for op, skew in basis_shapes(7):
+    for op, skew in basis_words(7):
         assert is_variational_linear(op) == skew
         assert is_variational_linear(op.scale(c)) == skew, (op, c)
 
@@ -320,7 +320,7 @@ def test_variational_test_is_scale_invariant(c):
 @pytest.mark.parametrize("c", SCALES)
 def test_cl_characteristic_test_is_scale_invariant(c):
     answers = set()
-    for op, skew in basis_shapes(5):
+    for op, skew in basis_words(5):
         eta = apply_operator_reduced(op)
         answer = is_cl_characteristic(eta)
         assert is_cl_characteristic(eta * c) == answer, (op, c)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from kgsym.arith import XYPoly
-from kgsym.opalg import (TDOperator, basis_op, commutator, kg_operator,
-                         monomial_op, skew_self_split)
+from kgsym.opalg import (TDOperator, basis_op, basis_shapes, commutator,
+                         kg_operator, monomial_op, skew_self_split)
 from kgsym.verify import random_operator
 
 X = XYPoly.variable("x")
@@ -85,6 +85,24 @@ def test_basis_op_examples():
 def test_basis_op_rejects_qbar_without_derivative():
     with pytest.raises(ValueError):
         basis_op("Qbar", 2, 0)
+
+
+def test_basis_shapes_order():
+    assert basis_shapes(0) == [("Q", 0, 0)]
+    assert basis_shapes(2) == [("Q", 2, 0), ("Q", 0, 2), ("Q", 1, 1),
+                               ("Qbar", 0, 2), ("Qbar", 1, 1)]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_basis_shapes_are_the_words_of_one_order(n):
+    shapes = basis_shapes(n)
+    assert len(set(shapes)) == len(shapes) == 2 * n + 1
+    assert all(k + l == n for _, k, l in shapes)
+    assert all(l >= 1 for kind, _, l in shapes if kind == "Qbar")
+    if n % 2:
+        for shape in shapes:
+            op = basis_op(*shape)
+            assert op.adjoint() == -op, shape
 
 
 @pytest.mark.parametrize("kind", ["Q", "Qbar"])
