@@ -17,8 +17,8 @@ import sys
 from dataclasses import dataclass, field
 
 from . import verify
-from .noether import (MINIMAL_FAMILIES, current_C0, current_Ctilde,
-                      current_minimal, is_variational_linear)
+from .noether import (CURRENT_FAMILIES, MINIMAL_FAMILIES, current_C0,
+                      current_Ctilde, current_minimal, is_variational_linear)
 from .opalg import basis_op, basis_shapes, commutator
 from .parser import ParseError, parse_jet, parse_operator
 from .symmetry import (dimension_table, is_generalized_symmetry,
@@ -86,8 +86,7 @@ def _result_lines(result: dict):
             yield f"characteristic: {result['characteristic']}"
     elif kind == "verification":
         for check in result["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            yield f"{status}  {check['name']}: {check['detail']}"
+            yield verify.CheckResult(**check).line()
         yield f"all passed: {str(result['all_passed']).lower()}"
 
 
@@ -308,8 +307,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = command("current", _cmd_current,
                 "construct a verified conserved current")
-    p.add_argument("family",
-                   choices=("C0", "Ctilde", *MINIMAL_FAMILIES))
+    p.add_argument("family", choices=CURRENT_FAMILIES)
     p.add_argument("rest", nargs="*",
                    help="KP LP for minimal families, an operator expression "
                         "for Ctilde, optionally 'barred' for C0")

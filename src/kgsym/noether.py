@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import XYPoly, accumulate, common_denominator
-from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_reduced,
-                  euler_operator, prolonged_action, require_field_u,
-                  substituted)
+from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
+                  apply_operator_reduced, euler_operator, prolonged_action,
+                  require_field_u, substituted)
 from .opalg import (TDOperator, basis_op, kg_operator, monomial_op,
                     skew_self_split)
 
@@ -112,13 +112,18 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
 
     The resulting order is kp + lp + 1, asserted before returning. Family C1
     needs lp >= 1. Built on the reduced jet: reduce, a ring morphism
-    commuting with Dx and Dy, would give the same from the free jet."""
+    commuting with Dx and Dy, would give the same from the free jet. The
+    characteristic is the exact cofactor of u_xy - u in Dx T + Dy X: the
+    image of the family's basis word times 2(-1)^(kp+lp), negated for
+    C1bar."""
     if kp < 0 or lp < 0:
         raise ValueError("orders must be nonnegative")
     half = Fraction(1, 2)
+    factor = 2 * (-1) ** (kp + lp + (family == "C1bar"))
     if family in ("C1", "C1bar"):
         # C1 and C1bar share one quadratic form with opposite signs; their
-        # characteristic words are Q[2kp+1, 2lp] and Qbar[2kp+1, 2lp].
+        # characteristic words are Q[2kp+1, 2lp] and Qbar[2kp+1, 2lp], the
+        # latter Q[2kp+1, 0] = J^(2kp+1) at lp = 0.
         if family == "C1" and lp < 1:
             raise ValueError("family C1 requires lp >= 1")
         side, sign = ("X", -1) if family == "C1" else ("Y", 1)
@@ -128,7 +133,8 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
         square = base * base
         t = ((dy * dy) * _Y + square * _X) * sign
         x = ((dx * dx) * _X + square * _Y) * -sign
-        char_op = monomial_op(side, 2 * kp + 1, 2 * lp, -sign * lp)
+        char_op = basis_op("Qbar" if family == "C1bar" and lp else "Q",
+                           2 * kp + 1, 2 * lp)
     elif family in ("C2", "C2bar"):
         # C2bar mirrors C2 (other side and derivative, opposite shift, T and
         # X swapped); their characteristic words are Q/Qbar[2kp, 2lp+1].
@@ -141,8 +147,9 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
         char_op = basis_op(kind, 2 * kp, 2 * lp + 1)
     else:
         raise ValueError(f"unknown minimal-current family {family!r}")
-    return ConservedCurrent(family=family, t=t, x=x, order=kp + lp + 1,
-                            characteristic=apply_operator_reduced(char_op))
+    return ConservedCurrent(
+        family=family, t=t, x=x, order=kp + lp + 1,
+        characteristic=apply_operator_reduced(char_op) * factor)
 
 
 def lift_linear_characteristic(eta: ReducedJetPoly) -> TDOperator:
@@ -175,7 +182,7 @@ def is_cl_characteristic(eta: ReducedJetPoly) -> bool:
     answer is the same for every nonzero multiple of eta, so the test runs
     on the integer one."""
     lifted = _lift_free(_integer_multiple(eta))
-    equation = FreeJetPoly.var(1, 1) - FreeJetPoly.var(0, 0)
+    equation = apply_operator_free(kg_operator())
     return euler_operator(lifted * equation).is_zero()
 
 

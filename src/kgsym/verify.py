@@ -18,7 +18,7 @@ from .noether import (count_order_n_currents, current_C0, current_Ctilde,
                       is_variational_linear, lift_linear_characteristic,
                       minimal_family_members, symmetry_action_on_current)
 from .opalg import (TDOperator, basis_op, basis_shapes, commutator,
-                    kg_operator, monomial_op)
+                    kg_operator)
 from .parser import parse_jet, parse_operator
 from .symmetry import (dimension_table, independence_rank, reduced_bracket,
                        solve_linear_determining)
@@ -44,11 +44,12 @@ def _checked(name: str, failures, summary: str) -> CheckResult:
                        "; ".join(failures) if failures else summary)
 
 
-def _skew_basis_ops(max_total: int):
-    """All skew-adjoint basis operators with k + l <= max_total (odd k + l)."""
-    return [(kind, k, l, basis_op(kind, k, l))
-            for t in range(1, max_total + 1, 2)
-            for kind, k, l in basis_shapes(t)]
+def _basis_ops(orders, max_index=None):
+    """(label, order, operator) of each basis word kind[k,l] of the orders,
+    in basis_shapes order; with max_index, only those of k, l <= max_index."""
+    return [(f"{kind}[{k},{l}]", t, basis_op(kind, k, l))
+            for t in orders for kind, k, l in basis_shapes(t)
+            if max_index is None or max(k, l) <= max_index]
 
 
 def check_dimension_tables(max_order: int = 5) -> CheckResult:
@@ -70,33 +71,21 @@ def check_dimension_tables(max_order: int = 5) -> CheckResult:
 
 def check_adjoint_parity() -> CheckResult:
     """adjoint(basis_op) = (-1)^(k+l) basis_op for k, l <= 4."""
-    failures = []
-    count = 0
-    for t in range(9):
-        for kind, k, l in basis_shapes(t):
-            if k <= 4 and l <= 4:
-                op = basis_op(kind, k, l)
-                count += 1
-                if op.adjoint() != op.scale((-1) ** t):
-                    failures.append(f"{kind}[{k},{l}]")
-    return _checked("adjoint parity", failures, f"{count} operators checked")
+    words = _basis_ops(range(9), max_index=4)
+    failures = [label for label, t, op in words
+                if op.adjoint() != op.scale((-1) ** t)]
+    return _checked("adjoint parity", failures,
+                    f"{len(words)} operators checked")
 
 
 def check_centrality() -> CheckResult:
-    """The equation operator commutes with every recursion-operator word
-    X[k,l] and Y[k,l] of k + l <= 6."""
+    """The equation operator commutes with every basis word of k + l <= 6."""
     kg = kg_operator()
-    failures = []
-    count = 0
-    for total in range(7):
-        for k in range(total + 1):
-            l = total - k
-            for side in ("X", "Y"):
-                count += 1
-                if not commutator(kg, monomial_op(side, k, l)).is_zero():
-                    failures.append(f"{side}[{k},{l}]")
+    words = _basis_ops(range(7))
+    failures = [label for label, _, op in words
+                if not commutator(kg, op).is_zero()]
     return _checked("centrality of the equation operator", failures,
-                    f"{count} words checked")
+                    f"{len(words)} words checked")
 
 
 def check_structure_constants() -> CheckResult:
@@ -121,15 +110,11 @@ def check_structure_constants() -> CheckResult:
 def check_variational_parity() -> CheckResult:
     """Linear basis operators of k + l <= 7 are variational exactly when
     k + l is odd."""
-    failures = []
-    count = 0
-    for t in range(8):
-        for kind, k, l in basis_shapes(t):
-            count += 1
-            if is_variational_linear(basis_op(kind, k, l)) != (t % 2 == 1):
-                failures.append(f"{kind}[{k},{l}]")
+    words = _basis_ops(range(8))
+    failures = [label for label, t, op in words
+                if is_variational_linear(op) != (t % 2 == 1)]
     return _checked("variational parity", failures,
-                    f"{count} operators checked")
+                    f"{len(words)} operators checked")
 
 
 def check_reduced_lift_remark() -> CheckResult:
@@ -140,7 +125,7 @@ def check_reduced_lift_remark() -> CheckResult:
     3xy J (Dx Dy - 1) applied on the lift.
     """
     failures = []
-    j3 = monomial_op("X", 3, 0)
+    j3 = basis_op("Q", 3, 0)
     if not is_variational_linear(j3):
         failures.append("J^3 fails the variational criterion")
     u0 = ReducedJetPoly.var("u", 0)
@@ -165,8 +150,8 @@ def check_conservation() -> CheckResult:
     def constructed():
         yield "C0", current_C0(), 1
         yield "C0bar", current_C0(barred=True), 1
-        for kind, k, l, op in _skew_basis_ops(5):
-            yield f"Ctilde({kind}[{k},{l}])", current_Ctilde(op), None
+        for label, _, op in _basis_ops(range(1, 6, 2)):
+            yield f"Ctilde({label})", current_Ctilde(op), None
         for n in range(1, 5):
             for family, kp, lp in minimal_family_members(n):
                 yield f"{family}[{kp},{lp}]", current_minimal(family, kp, lp), n
@@ -189,13 +174,13 @@ def check_generating_action() -> CheckResult:
     failures = []
     generating = current_minimal("C2", 0, 0)
     half = Fraction(1, 2)
-    for kind, k, l, op in _skew_basis_ops(3):
+    for label, _, op in _basis_ops((1, 3)):
         eta = apply_operator_reduced(op).total_derivative("y") * half
         candidate = symmetry_action_on_current(eta, generating)
         expected = current_Ctilde(op)
         if not (candidate.t == expected.t and candidate.x == expected.x
                 and candidate.is_conserved):
-            failures.append(f"Ctilde action mismatch for {kind}[{k},{l}]")
+            failures.append(f"Ctilde action mismatch for {label}")
     eta_f = ReducedJetPoly.var("f", -1) * half
     candidate = symmetry_action_on_current(eta_f, generating)
     barred = current_C0(barred=True)
@@ -219,13 +204,12 @@ def check_counting(max_order: int = 5) -> CheckResult:
 
 
 def check_independence(max_order: int = 5) -> CheckResult:
-    """The 2n+1 recursion-word characteristics admit no nontrivial
-    combination vanishing on the exponential solution family."""
+    """The 2n+1 basis-word characteristics of each order n admit no
+    nontrivial combination vanishing on the exponential solution family."""
     failures = []
     for n in range(max_order + 1):
-        words = [monomial_op("X" if kind == "Q" else "Y", k, l)
-                 for kind, k, l in basis_shapes(n)]
-        r = independence_rank(map(apply_operator_reduced, words))
+        r = independence_rank(apply_operator_reduced(op)
+                              for _, _, op in _basis_ops((n,)))
         if r != 2 * n + 1:
             failures.append(f"rank({n})={r}!={2 * n + 1}")
     return _checked("independence on the solution family", failures,

@@ -24,7 +24,7 @@ def test_criterion_02_adjoint_parity():
 
 
 def test_criterion_03_centrality():
-    # the equation operator commutes with every recursion word of k+l <= 6
+    # the equation operator commutes with every basis word of k+l <= 6
     _report(verify.check_centrality())
 
 
@@ -63,7 +63,7 @@ def test_criterion_09_counting():
 
 
 def test_criterion_10_independence():
-    # the 2n+1 recursion-word characteristics have full rank on the
+    # the 2n+1 basis-word characteristics have full rank on the
     # exponential solution family for n <= 5
     _report(verify.check_independence(max_order=5))
 

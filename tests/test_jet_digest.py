@@ -19,7 +19,7 @@ from kgsym.verify import random_reduced_jet, random_xypoly
 
 SEED = 20261018
 
-DIGEST = "7534ca7060d940a7706bc76ce7e378c331bb85dc110423795980368157cb174d"
+DIGEST = "0f292d9fa378403c99db80a023bf18c1619a7ca187672df12b3c1c083cd3df89"
 
 
 def _random_free_jet(rng):

@@ -107,13 +107,13 @@ def test_basis_shapes_are_the_words_of_one_order(n):
 
 @pytest.mark.parametrize("kind", ["Q", "Qbar"])
 def test_adjoint_parity_law(kind):
-    for k in range(5):
-        for l in range(5):
-            if kind == "Qbar" and l == 0:
-                continue
-            op = basis_op(kind, k, l)
-            sign = -1 if (k + l) % 2 else 1
-            assert op.adjoint() == op.scale(sign), (kind, k, l)
+    # Every word of order <= 10 (121 words of both kinds), past the k, l <= 4
+    # the adjoint parity check covers.
+    for t in range(11):
+        for shape in basis_shapes(t):
+            if shape[0] == kind:
+                op = basis_op(*shape)
+                assert op.adjoint() == op.scale((-1) ** t), shape
 
 
 def test_monomial_op_examples():
