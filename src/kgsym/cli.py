@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import verify
 from .noether import (CURRENT_FAMILIES, MINIMAL_FAMILIES, current_C0,
@@ -25,14 +24,18 @@ from .symmetry import (dimension_table, is_generalized_symmetry,
                        reduced_bracket, solve_linear_determining)
 
 
-@dataclass
 class Report:
-    """Deterministic result payload; rendered as text or JSON."""
-    command: str
-    arguments: dict
-    result: dict
-    verified: dict = field(default_factory=dict)
-    exit_code: int = 0
+    """Deterministic result payload; rendered as text or JSON. verified
+    defaults to a new empty dict."""
+    __slots__ = ("command", "arguments", "result", "verified", "exit_code")
+
+    def __init__(self, command: str, arguments: dict, result: dict,
+                 verified: dict | None = None, exit_code: int = 0):
+        self.command = command
+        self.arguments = arguments
+        self.result = result
+        self.verified = {} if verified is None else verified
+        self.exit_code = exit_code
 
     def to_payload(self) -> dict:
         return {

@@ -8,7 +8,6 @@ certifies conservation-law characteristics independently of any current.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import XYPoly, accumulate, common_denominator
@@ -17,6 +16,7 @@ from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
                   require_field_u, substituted)
 from .opalg import (TDOperator, basis_op, kg_operator, monomial_op,
                     skew_self_split)
+from .record import Record
 
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
@@ -54,28 +54,25 @@ def onshell_divergence(t: ReducedJetPoly, x: ReducedJetPoly) -> ReducedJetPoly:
     return t.total_derivative("x") + x.total_derivative("y")
 
 
-@dataclass(frozen=True)
-class ConservedCurrent:
+class ConservedCurrent(Record):
     """A verified conserved current (T, X) with its recorded order.
 
     T and X are the reduced (on-shell) components."""
-    family: str
-    t: ReducedJetPoly
-    x: ReducedJetPoly
-    order: int
-    characteristic: ReducedJetPoly | None = None
+    __slots__ = ("family", "t", "x", "order", "characteristic")
 
-    def __post_init__(self):
-        if self.family not in CURRENT_FAMILIES:
-            raise ValueError(f"unknown current family {self.family!r}")
-        div = onshell_divergence(self.t, self.x)
+    def __init__(self, family: str, t: ReducedJetPoly, x: ReducedJetPoly,
+                 order: int, characteristic: ReducedJetPoly | None = None):
+        if family not in CURRENT_FAMILIES:
+            raise ValueError(f"unknown current family {family!r}")
+        div = onshell_divergence(t, x)
         if div:
             raise ValueError(f"current is not conserved on shell; "
                              f"divergence = {div}")
-        actual = _component_order(self.t, self.x)
-        if actual != self.order:
-            raise ValueError(f"declared order {self.order} but components "
+        actual = _component_order(t, x)
+        if actual != order:
+            raise ValueError(f"declared order {order} but components "
                              f"have order {actual}")
+        self._init(family, t, x, order, characteristic)
 
 
 def current_C0(barred: bool = False) -> ConservedCurrent:
@@ -186,12 +183,13 @@ def is_cl_characteristic(eta: ReducedJetPoly) -> bool:
     return euler_operator(lifted * equation).is_zero()
 
 
-@dataclass(frozen=True)
-class CurrentCandidate:
+class CurrentCandidate(Record):
     """Componentwise action of a symmetry on a current, with its divergence."""
-    t: ReducedJetPoly
-    x: ReducedJetPoly
-    divergence: ReducedJetPoly
+    __slots__ = ("t", "x", "divergence")
+
+    def __init__(self, t: ReducedJetPoly, x: ReducedJetPoly,
+                 divergence: ReducedJetPoly):
+        self._init(t, x, divergence)
 
     @property
     def is_conserved(self) -> bool:

@@ -4,12 +4,12 @@ reduced Lie bracket, and the exponential-family independence test."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import grouped, sparse_kernel, terms_rank
 from .jet import (ReducedJetPoly, eval_exp_family, prolonged_action,
                   require_field_u)
+from .record import Record
 
 
 def is_generalized_symmetry(eta: ReducedJetPoly) -> bool:
@@ -19,25 +19,22 @@ def is_generalized_symmetry(eta: ReducedJetPoly) -> bool:
     return eta.total_derivative("x").total_derivative("y") == eta
 
 
-@dataclass(frozen=True)
-class SymmetryBasis:
+class SymmetryBasis(Record):
     """A verified basis of linear symmetry characteristics of bounded order."""
-    order: int
-    degree: int
-    elements: tuple = ()
+    __slots__ = ("order", "degree", "elements")
 
-    def __post_init__(self):
-        for eta in self.elements:
+    def __init__(self, order: int, degree: int, elements: tuple = ()):
+        for eta in elements:
             if not is_generalized_symmetry(eta):
                 raise ValueError(f"basis element fails the symmetry "
                                  f"criterion: {eta}")
+        self._init(order, degree, elements)
 
     @property
     def dim(self) -> int:
         return len(self.elements)
 
 
-@dataclass
 class DeterminingSystem:
     """The linear system on the coefficient functions of a characteristic
     sum_k eta^k(x, y) u_k with |k| <= order and deg eta^k <= degree.
@@ -46,10 +43,14 @@ class DeterminingSystem:
     eta^k_xy + eta^(k-1)_y + eta^(k+1)_x = 0 for k from -order-1 to order+1,
     out-of-range eta's zero. images[c] is the term map {equation: value} of
     unknowns[c] = (k, i, j), the coefficient of x^i y^j u_k."""
-    order: int
-    degree: int
-    unknowns: list
-    images: list
+    __slots__ = ("order", "degree", "unknowns", "images")
+
+    def __init__(self, order: int, degree: int, unknowns: list,
+                 images: list):
+        self.order = order
+        self.degree = degree
+        self.unknowns = unknowns
+        self.images = images
 
     @classmethod
     def assemble(cls, order: int, degree: int) -> "DeterminingSystem":

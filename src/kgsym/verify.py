@@ -8,7 +8,6 @@ suite twice produces identical results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import XYPoly
@@ -20,17 +19,18 @@ from .noether import (count_order_n_currents, current_C0, current_Ctilde,
 from .opalg import (TDOperator, basis_op, basis_shapes, commutator,
                     kg_operator)
 from .parser import parse_jet, parse_operator
+from .record import Record
 from .symmetry import (dimension_table, independence_rank, reduced_bracket,
                        solve_linear_determining)
 
 ROUND_TRIP_SEED = 20260811
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self._init(name, passed, detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -478,3 +478,39 @@ def test_python_m_kgsym_runs_the_cli(capsys):
     assert proc.returncode == code == 0
     assert proc.stdout == out
     assert proc.stderr == ""
+
+
+def test_report_construction():
+    by_position = cli.Report("dims", {"max_order": "0"}, {"kind": "jet",
+                                                         "text": "u[0]"})
+    by_keyword = cli.Report(command="dims", arguments={"max_order": "0"},
+                            result={"kind": "jet", "text": "u[0]"})
+    for report in (by_position, by_keyword):
+        assert report.verified == {} and report.exit_code == 0
+        assert report.to_text() == "command: dims\n  max_order: 0\nu[0]"
+    assert by_position.verified is not by_keyword.verified
+    failed = cli.Report("verify-all", {}, {}, {"all_passed": False}, 1)
+    assert failed.exit_code == 1
+    assert failed.to_text() == "command: verify-all\nall_passed: false"
+
+
+_MODULES = "import sys; print(' '.join(sorted(sys.modules)))"
+
+
+def test_import_adds_no_introspection_modules():
+    """import kgsym.cli brings in only the standard modules kgsym uses;
+    in particular not dataclasses, whose import pulls in inspect, ast and
+    dis and costs about 10 ms at every start."""
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(__file__).resolve().parent.parent / "src"))
+
+    def loaded(prelude):
+        """The names in sys.modules of a fresh interpreter after prelude."""
+        proc = subprocess.run([sys.executable, "-c", prelude + _MODULES],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded("import kgsym.cli; ") - loaded("")
+    assert "kgsym.cli" in added
+    assert not {"dataclasses", "inspect"} & added

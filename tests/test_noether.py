@@ -1,5 +1,7 @@
 """Tests for variational testing and the conserved-current constructors."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from kgsym.arith import XYPoly
 from kgsym.jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
                        apply_operator_reduced, euler_operator, reduce,
                        reduced_J)
-from kgsym.noether import (ConservedCurrent, count_order_n_currents,
+from kgsym.noether import (ConservedCurrent, CurrentCandidate,
+                           count_order_n_currents,
                            current_C0, current_Ctilde, current_minimal,
                            is_cl_characteristic, is_variational_linear,
                            lift_linear_characteristic, minimal_family_members,
@@ -204,6 +207,13 @@ def test_conserved_current_constructor_rejects_bad_pairs():
         ConservedCurrent(family="C2", t=-u(0) * u(0), x=u(1) * u(1), order=2)
     with pytest.raises(ValueError):
         ConservedCurrent(family="bogus", t=-u(0) * u(0), x=u(1) * u(1), order=1)
+    # the same checks run when the fields are given by position
+    with pytest.raises(ValueError, match="not conserved"):
+        ConservedCurrent("C0", u(0), u(0), 0)
+    with pytest.raises(ValueError, match="declared order 2"):
+        ConservedCurrent("C2", -u(0) * u(0), u(1) * u(1), 2)
+    with pytest.raises(ValueError, match="unknown current family"):
+        ConservedCurrent("bogus", -u(0) * u(0), u(1) * u(1), 1)
 
 
 def test_symmetry_action_reproduces_uniform_currents():
@@ -416,3 +426,52 @@ def test_ctilde_rejection_text():
         current_Ctilde(mixed_operator().scale(Fraction(-3, 7)))
     assert str(excinfo.value) == (
         "operator is not skew-adjoint; self-adjoint part is 1/14")
+
+
+# Record contracts: ConservedCurrent and CurrentCandidate are immutable
+# values, built by keyword or position, compared and hashed by their fields
+# and printed as Name(field=value, ...).
+
+C0_REPR = ("ConservedCurrent(family='C0', t=ReducedJetPoly(f[0]*u[-1]), "
+           "x=ReducedJetPoly(-f[1]*u[0]), order=1, "
+           "characteristic=ReducedJetPoly(f[0]))")
+
+
+def test_conserved_current_record_contract():
+    c = current_C0()
+    t, x = f(0) * u(-1), -f(1) * u(0)
+    by_position = ConservedCurrent("C0", t, x, 1, f(0))
+    assert by_position == c
+    assert hash(by_position) == hash(c)
+    assert repr(c) == C0_REPR
+    assert ConservedCurrent("C0", t, x, 1).characteristic is None
+    assert c != current_C0(barred=True)
+    assert c != (c.family, c.t, c.x, c.order, c.characteristic)
+    for name in ("family", "t", "order", "characteristic", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+    assert repr(c) == C0_REPR
+
+
+def test_current_candidate_record_contract():
+    zero = ReducedJetPoly.zero()
+    candidate = CurrentCandidate(t=u(1), x=u(0), divergence=zero)
+    assert candidate == CurrentCandidate(u(1), u(0), zero)
+    assert hash(candidate) == hash(CurrentCandidate(u(1), u(0), zero))
+    assert candidate != CurrentCandidate(u(1), u(0), u(0))
+    assert repr(candidate) == ("CurrentCandidate(t=ReducedJetPoly(u[1]), "
+                               "x=ReducedJetPoly(u[0]), "
+                               "divergence=ReducedJetPoly(0))")
+    for name in ("t", "x", "divergence"):
+        with pytest.raises(AttributeError):
+            setattr(candidate, name, u(2))
+    assert candidate.t == u(1)
+
+
+def test_conserved_current_copies_are_rebuilt_and_checked():
+    c = current_minimal("C2", 0, 0)
+    assert copy.copy(c) == c
+    assert pickle.loads(pickle.dumps(c)) == c
+    # a copy is a call of the class on the fields, so its checks run again
+    assert c.__reduce__() == (ConservedCurrent, (c.family, c.t, c.x,
+                                                 c.order, c.characteristic))

@@ -8,7 +8,8 @@ import pytest
 from kgsym.arith import XYPoly, sparse_kernel, terms_rank
 from kgsym.jet import ReducedJetPoly, apply_operator_reduced, reduced_J
 from kgsym.opalg import monomial_op
-from kgsym.symmetry import (DeterminingSystem, graded_dimension,
+from kgsym.symmetry import (DeterminingSystem, SymmetryBasis,
+                            graded_dimension,
                             independence_rank, is_generalized_symmetry,
                             reduced_bracket, solve_linear_determining)
 
@@ -266,3 +267,44 @@ def test_independence_rank_monomial_characteristics():
 def test_independence_rank_detects_dependence():
     chars = [u(1), u(1) * 2]
     assert independence_rank(chars) == 1
+
+
+# Record contracts: SymmetryBasis is an immutable value that checks its
+# elements however it is built; DeterminingSystem is built by keyword or
+# position and keeps its fields.
+
+def test_symmetry_basis_record_contract():
+    basis = SymmetryBasis(order=1, degree=2, elements=(u(1),))
+    assert basis == SymmetryBasis(1, 2, (u(1),))
+    assert hash(basis) == hash(SymmetryBasis(1, 2, (u(1),)))
+    assert basis != SymmetryBasis(1, 3, (u(1),))
+    assert repr(basis) == ("SymmetryBasis(order=1, degree=2, "
+                           "elements=(ReducedJetPoly(u[1]),))")
+    empty = SymmetryBasis(0, 0)
+    assert empty.elements == () and empty.dim == 0
+    assert repr(empty) == "SymmetryBasis(order=0, degree=0, elements=())"
+    for name in ("order", "degree", "elements", "dim"):
+        with pytest.raises(AttributeError):
+            setattr(basis, name, 0)
+    assert basis.order == 1 and basis.elements == (u(1),)
+
+
+def test_symmetry_basis_rejects_non_symmetry():
+    message = "basis element fails the symmetry criterion"
+    with pytest.raises(ValueError, match=message):
+        SymmetryBasis(order=0, degree=1, elements=(u(0) * X,))
+    with pytest.raises(ValueError, match=message):
+        SymmetryBasis(0, 1, (u(1), u(0) * X))
+
+
+def test_determining_system_construction():
+    assembled = DeterminingSystem.assemble(0, 1)
+    system = DeterminingSystem(0, 1, assembled.unknowns, assembled.images)
+    by_keyword = DeterminingSystem(order=0, degree=1,
+                                   unknowns=assembled.unknowns,
+                                   images=assembled.images)
+    for s in (assembled, system, by_keyword):
+        assert (s.order, s.degree) == (0, 1)
+        assert s.unknowns == [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
+        assert s.images == [{}, {(1, 0, 0): 1}, {(-1, 0, 0): 1}]
+        assert s.solve() == solve_linear_determining(0, 1)

@@ -48,3 +48,17 @@ def test_centrality_checks_each_basis_word_once(monkeypatch):
     assert result.passed
     assert result.detail == "49 words checked"
     assert len(seen) == len(set(seen)) == 49
+
+
+def test_check_result_record_contract():
+    result = verify.CheckResult(name="a", passed=True, detail="b")
+    assert result == verify.CheckResult("a", True, "b")
+    assert hash(result) == hash(verify.CheckResult("a", True, "b"))
+    assert result != verify.CheckResult("a", False, "b")
+    assert repr(result) == "CheckResult(name='a', passed=True, detail='b')"
+    assert verify.CheckResult(**{"name": "a", "passed": False,
+                                 "detail": "b"}).line() == "FAIL  a: b"
+    for name in ("name", "passed", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
+    assert result.line() == "PASS  a: b"
