@@ -108,8 +108,9 @@ def monomial_str(powers) -> str:
 
 
 def _rational_str(c) -> str:
-    """The text of the rational c; ValueError when its numerator or
-    denominator has more digits than the interpreter will print."""
+    """The text of the rational or polynomial c; ValueError when a
+    numerator or denominator has more digits than the interpreter will
+    print."""
     try:
         return str(c)
     except ValueError:
@@ -125,6 +126,13 @@ def scalar_prefixed(c, body: str) -> str:
     if c == -1:
         return "-" + body
     return f"{_rational_str(c)}*{body}"
+
+
+def pair_shown(names):
+    """The _shown hook of a term map keyed by the exponent pairs (i, j) of
+    the two names: highest total degree first, then highest i."""
+    return staticmethod(lambda key: ((-key[0] - key[1], -key[0]),
+                                     monomial_str(zip(names, key))))
 
 
 def int_key(key):
@@ -155,7 +163,9 @@ class TermMap:
     (TypeError for anything else), _normalize_key a key, and _constant_key
     is the key of the constant monomial, or None when the class holds no
     scalar. A scalar, anything _coerce accepts, equals, hashes as and adds
-    like the value holding it there. Each class keeps its own algebra."""
+    like the value holding it there. For printing, _shown(key) is the sort
+    key and text of one monomial, and _prefixed(c, text) the text of the
+    coefficient c times it. Each class keeps its own algebra."""
 
     __slots__ = ("terms",)
 
@@ -224,13 +234,19 @@ class TermMap:
             return hash(terms.get(key, 0))
         return hash(frozenset(terms.items()))
 
-    def sorted_terms(self):
-        """Terms in printing order. Keys (i, j) of x^i y^j or (p, q) of
-        Dx^p Dy^q go highest total degree first, then highest i or p; the
-        jet classes order their own."""
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]),
-                      reverse=True)
+    def __str__(self):
+        """The one printed form: 0 when empty, else the terms in ascending
+        order of the sort keys of _shown, which differ for distinct
+        monomials, each coefficient prefixed to its monomial's text by
+        _prefixed (a constant monomial is its coefficient alone), with signs
+        folded by join_signed."""
+        terms = self.terms
+        if not terms:
+            return "0"
+        prefixed = self._prefixed
+        shown = sorted(zip(map(self._shown, terms), terms.values()))
+        return join_signed([prefixed(c, text) if text else _rational_str(c)
+                            for (_, text), c in shown])
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -245,6 +261,8 @@ class XYPoly(TermMap):
     _coerce = staticmethod(as_rational)
     _normalize_key = staticmethod(int_key)
     _constant_key = (0, 0)
+    _shown = pair_shown("xy")
+    _prefixed = staticmethod(scalar_prefixed)
 
     @classmethod
     def one(cls) -> "XYPoly":
@@ -314,22 +332,11 @@ class XYPoly(TermMap):
     def __pow__(self, exponent: int):
         return power(XYPoly.one(), self, exponent)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return join_signed([_poly_term_str(key, c)
-                            for key, c in self.sorted_terms()])
-
 
 def poly_coefficient(value) -> XYPoly:
     """value as an XYPoly coefficient; TypeError unless it is an XYPoly or a
     rational constant."""
     return value if isinstance(value, XYPoly) else XYPoly.constant(value)
-
-
-def _poly_term_str(key, coeff) -> str:
-    body = monomial_str(zip("xy", key))
-    return scalar_prefixed(coeff, body) if body else _rational_str(coeff)
 
 
 class RationalMatrix:

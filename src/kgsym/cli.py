@@ -19,7 +19,7 @@ from . import verify
 from .noether import (CURRENT_FAMILIES, MINIMAL_FAMILIES, current_C0,
                       current_Ctilde, current_minimal, is_variational_linear)
 from .opalg import basis_op, basis_shapes, commutator
-from .parser import ParseError, parse_jet, parse_operator
+from .parser import parse_jet, parse_operator
 from .symmetry import (dimension_table, is_generalized_symmetry,
                        reduced_bracket, solve_linear_determining)
 
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         report = run(ns)
-    except (ParseError, UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rendered = report.to_json() if ns.format == "json" else report.to_text()

@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 
-from .arith import (TermMap, XYPoly, accumulate, from_terms, join_signed,
-                    monomial_str, mul_terms, poly_coefficient, power,
-                    scalar_prefixed, scale_terms)
+from .arith import (TermMap, XYPoly, accumulate, from_terms, monomial_str,
+                    mul_terms, poly_coefficient, power, scalar_prefixed,
+                    scale_terms)
 from .opalg import TDOperator
 
 _X = XYPoly.variable("x")
@@ -108,6 +108,15 @@ class _JetPoly(TermMap):
     _normalize_key = staticmethod(lambda mono: tuple(sorted(mono)))
     _constant_key = ()
 
+    @staticmethod
+    def _prefixed(c, text):
+        """Only a coefficient of several terms is parenthesized: x*u[0]."""
+        if len(c.terms) > 1:
+            return f"({c})*{text}"
+        if c.is_constant():
+            return scalar_prefixed(c.constant_value(), text)
+        return f"{c}*{text}"
+
     @classmethod
     def one(cls):
         return cls({(): XYPoly.one()})
@@ -182,37 +191,16 @@ class ReducedJetPoly(_JetPoly):
     def __pow__(self, exponent: int):
         return power(ReducedJetPoly.one(), self, exponent)
 
-    def sorted_terms(self):
-        """Canonical display order: jet degree descending, then by field name
-        and descending index inside each degree block."""
-        return sorted(self.terms.items(),
-                      key=lambda kv: (-len(kv[0]), _display_powers(kv[0])))
+    @staticmethod
+    def _shown(mono):
+        """Jet degree descending, then by field name and descending index
+        inside each degree block; the product lists its variables so."""
+        powers = _powers(sorted((name, -k) for name, k in mono))
+        return (-len(mono), powers), monomial_str(
+            (f"{name}[{-minus_k}]", e) for (name, minus_k), e in powers)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, coeff in self.sorted_terms():
-            body = monomial_str((f"{name}[{-minus_k}]", e)
-                                for (name, minus_k), e in _display_powers(mono))
-            pieces.append(_coeff_prefixed(coeff, body))
-        return join_signed(pieces)
-
-
-def _display_powers(mono):
-    """((field, -k), exponent) for each jet variable (field, k) of mono, by
-    field name, then descending index."""
-    return _powers(sorted((name, -k) for name, k in mono))
-
-
-def _coeff_prefixed(coeff: XYPoly, body: str) -> str:
-    if not body:
-        return str(coeff)
-    if len(coeff.terms) > 1:
-        return f"({coeff})*{body}"
-    if coeff.is_constant():
-        return scalar_prefixed(coeff.constant_value(), body)
-    return f"{coeff}*{body}"
+        return TermMap.__str__(self)
 
 
 class FreeJetPoly(_JetPoly):
@@ -260,23 +248,17 @@ class FreeJetPoly(_JetPoly):
     def __pow__(self, exponent: int):
         return power(FreeJetPoly.one(), self, exponent)
 
-    def sorted_terms(self):
-        """Canonical display order: jet degree descending, then by
-        descending total and x order of the variables."""
-        return sorted(self.terms.items(),
-                      key=lambda kv: (-len(kv[0]), [
-                          ((-a - b, -a), e) for (a, b), e in _powers(kv[0])]))
+    @staticmethod
+    def _shown(mono):
+        """Jet degree descending, then by descending total and x order of
+        the variables; the product lists them in that order."""
+        order = [((-a - b, -a), e) for (a, b), e in _powers(mono)]
+        shown = sorted(mono, key=lambda v: (-v[0] - v[1], -v[0]))
+        return (-len(mono), order), monomial_str(
+            (f"u({a},{b})", e) for (a, b), e in _powers(shown))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, coeff in self.sorted_terms():
-            body = monomial_str(
-                (f"u({a},{b})", e) for (a, b), e in
-                _powers(sorted(mono, key=lambda v: (-v[0] - v[1], -v[0]))))
-            pieces.append(_coeff_prefixed(coeff, body))
-        return join_signed(pieces)
+        return TermMap.__str__(self)
 
 
 def iterated_derivative(p: ReducedJetPoly, k: int) -> ReducedJetPoly:

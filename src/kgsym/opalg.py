@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import (TermMap, XYPoly, accumulate, as_rational, from_terms,
-                    grouped, int_key, join_signed, monomial_str,
-                    poly_coefficient, power, scalar_prefixed, scale_terms)
+                    grouped, int_key, pair_shown, poly_coefficient, power,
+                    scalar_prefixed, scale_terms)
 
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
@@ -64,6 +64,14 @@ class TDOperator(TermMap):
 
     _coerce = staticmethod(poly_coefficient)
     _normalize_key = staticmethod(int_key)
+    _shown = pair_shown(("Dx", "Dy"))
+
+    @staticmethod
+    def _prefixed(c, text):
+        """Any coefficient but a constant is parenthesized: (x)*Dx."""
+        if c.is_constant():
+            return scalar_prefixed(c.constant_value(), text)
+        return f"({c})*{text}"
 
     @classmethod
     def identity(cls) -> "TDOperator":
@@ -143,18 +151,7 @@ class TDOperator(TermMap):
                             for ((p, q), i, j), c in _monomials(self))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (p, q), c in self.sorted_terms():
-            dpart = monomial_str((("Dx", p), ("Dy", q)))
-            if not dpart:
-                pieces.append(str(c))
-            elif c.is_constant():
-                pieces.append(scalar_prefixed(c.constant_value(), dpart))
-            else:
-                pieces.append(f"({c})*{dpart}")
-        return join_signed(pieces)
+        return TermMap.__str__(self)
 
 
 def commutator(a: TDOperator, b: TDOperator) -> TDOperator:

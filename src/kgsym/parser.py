@@ -15,8 +15,9 @@ rule, in closed form (Dx*x = x*Dx + 1). A power of one monomial multiplies
 its exponents, unless it mixes derivatives with x or y or holds more than
 MAX_EXPONENT jet variables; any other power, such as (x + y)^2, is that many
 products. Products, and the size of the coefficients they multiply out, are
-charged to one work budget per parse, MAX_WORK. The map becomes a value
-once, at the end, so no parse makes a ring operation.
+charged to one work budget per parse, MAX_WORK; a bound on the Leibniz
+factors of a product is charged before they are built. The map becomes a
+value once, at the end, so no parse makes a ring operation.
 """
 
 from __future__ import annotations
@@ -293,12 +294,18 @@ class _OperatorParser(_Parser):
     def cost(self, a, b):
         """One step per pair of monomials, and one more per extra term the
         Leibniz rule makes where a derivative on the left meets an x or y
-        on the right."""
+        on the right. The int factors of those terms are charged too, before
+        they are built: the m-th factor in x of Dx^p o x^i is at most
+        (p*i)^m, so the m + 1 of them hold at most m(m + 1)/2 * bits(p*i)
+        bits, and each one multiplies every factor in y."""
         steps = len(a) * len(b)
         for (p, q), _, _ in a:
             if p or q:
                 for _, i, j in b:
-                    steps += (min(p, i) + 1) * (min(q, j) + 1) - 1
+                    m, n = min(p, i), min(q, j)
+                    bits = ((n + 1) * m * (m + 1) * (p * i).bit_length()
+                            + (m + 1) * n * (n + 1) * (q * j).bit_length())
+                    steps += (m + 1) * (n + 1) - 1 + bits // 2 // BITS_PER_STEP
         return steps
 
     monomial_product = staticmethod(opalg.monomial_product)

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 from .arith import XYPoly
 from .jet import ReducedJetPoly, apply_operator_reduced, reduced_J
-from .noether import (count_order_n_currents, current_C0, current_Ctilde,
-                      current_minimal, is_cl_characteristic,
-                      is_variational_linear, lift_linear_characteristic,
-                      minimal_family_members, symmetry_action_on_current)
+from .noether import (current_C0, current_Ctilde, current_minimal,
+                      is_cl_characteristic, is_variational_linear,
+                      lift_linear_characteristic, minimal_family_members,
+                      symmetry_action_on_current)
 from .opalg import (TDOperator, basis_op, basis_shapes, commutator,
                     kg_operator)
 from .parser import parse_jet, parse_operator
@@ -54,17 +54,31 @@ def _basis_ops(orders, max_index=None):
 
 def check_dimension_tables(max_order: int = 5) -> CheckResult:
     """Graded dimension 2n+1 and cumulative dimension (n+1)^2, with a degree
-    saturation re-check one step above the default bound."""
+    saturation re-check one step above the default bound, and the solved
+    basis spanning what the basis words of order <= n do: the solved
+    elements, the words' images and both together have rank (n+1)^2. On
+    characteristics linear in u, independence_rank is the rank of their
+    terms."""
     failures = []
     rows = dimension_table(max_order)
+    words = [apply_operator_reduced(op)
+             for _, _, op in _basis_ops(range(max_order + 1))]
     for n, graded, cumulative in rows:
         saturated = solve_linear_determining(n, n + 3).dim
+        size = (n + 1) ** 2
         if graded != 2 * n + 1:
             failures.append(f"graded({n})={graded}!={2 * n + 1}")
-        if cumulative != (n + 1) ** 2:
-            failures.append(f"cumulative({n})={cumulative}!={(n + 1) ** 2}")
+        if cumulative != size:
+            failures.append(f"cumulative({n})={cumulative}!={size}")
         if saturated != cumulative:
             failures.append(f"saturation({n}): {saturated}!={cumulative}")
+        solved = solve_linear_determining(n, n + 2).elements
+        images = words[:size]
+        for label, etas in (("solved", solved), ("words", images),
+                            ("union", [*solved, *images])):
+            r = independence_rank(etas)
+            if r != size:
+                failures.append(f"{label} rank({n})={r}!={size}")
     return _checked("dimension tables", failures,
                     ", ".join(f"n={n}: {g}/{c}" for n, g, c in rows))
 
@@ -192,14 +206,20 @@ def check_generating_action() -> CheckResult:
 
 
 def check_counting(max_order: int = 5) -> CheckResult:
-    """4n - 1 verified minimal currents of each order n from 2 on."""
+    """4n - 1 verified minimal currents of each order n from 2 on, whose
+    characteristics are independent on the exponential solution family."""
     failures = []
     counts = []
     for n in range(2, max_order + 1):
-        count = count_order_n_currents(n)
+        characteristics = [current_minimal(*member).characteristic
+                           for member in minimal_family_members(n)]
+        count = len(characteristics)
         counts.append(f"n={n}: {count}")
         if count != 4 * n - 1:
             failures.append(f"count({n})={count}!={4 * n - 1}")
+        r = independence_rank(characteristics)
+        if r != 4 * n - 1:
+            failures.append(f"rank({n})={r}!={4 * n - 1}")
     return _checked("conservation-law counting", failures, ", ".join(counts))
 
 

@@ -20,16 +20,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(module, *argv, stdout=subprocess.PIPE, **env_extra):
+def run_module(module, *argv, stdout=subprocess.PIPE, preexec_fn=None,
+               **env_extra):
     """Run python -m module argv in a fresh interpreter that imports kgsym
-    from src/, with env_extra added to the environment."""
+    from src/, with env_extra added to the environment; preexec_fn runs in
+    the child before it starts."""
     env = dict(os.environ, **env_extra)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
     return subprocess.run([sys.executable, "-m", module, *argv],
                           stdout=stdout, stderr=subprocess.PIPE, env=env,
-                          text=True, timeout=120)
+                          text=True, timeout=120, preexec_fn=preexec_fn)
 
 
 def test_dims_table(capsys):
@@ -374,6 +376,26 @@ def test_work_bound_rejected(capsys, command, text, position):
     assert out == ""
     assert err == (f"error: products exceed the bound of {MAX_WORK} "
                    f"monomial steps (at position {position})\n")
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(Dx^1000)^20*(x^1000)^20", 12), ("(Dy^1000)^40*(y^1000)^40", 12),
+    ("(Dx^1000*Dy)^9*(x^1000*y)^9", 14)], ids=["x", "y", "mixed"])
+def test_leibniz_factors_charged_before_they_are_built(text, position):
+    # Dx^20000 o x^20000 makes 20,001 Leibniz terms, within MAX_WORK, but
+    # their int factors hold gigabits. They are charged before they are
+    # built, so a child interpreter capped at 512 MiB of address space
+    # rejects each input at once instead of running out of memory.
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = run_module("kgsym", "adjoint", text, preexec_fn=cap_memory)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: products exceed the bound of {MAX_WORK} "
+                           f"monomial steps (at position {position})\n")
 
 
 @pytest.mark.parametrize("command, text", [

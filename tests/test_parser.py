@@ -461,6 +461,7 @@ def test_work_bound_counts_monomial_pairs():
 
 def test_work_bound_admits_j_power_40():
     assert parse_operator("J^40").order() == 40
+    assert parse_operator("J^48").order() == 48     # the largest that parses
 
 
 def test_large_coefficients_within_the_work_bound_cancel():
