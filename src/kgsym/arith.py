@@ -156,6 +156,14 @@ def grouped(cls, flat):
                             for key, t in terms.items()})
 
 
+def flat(value):
+    """The flat term map {(key, i, j): c} of value, whose coefficients are
+    XYPolys: one entry per monomial c x^i y^j of each key; the inverse of
+    grouped."""
+    return {(key, i, j): c for key, poly in value.terms.items()
+            for (i, j), c in poly.terms.items()}
+
+
 class TermMap:
     """Value contract of XYPoly, TDOperator and the jet polynomials: terms
     maps monomial keys to nonzero coefficients, and values are immutable by

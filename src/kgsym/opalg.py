@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import (TermMap, XYPoly, accumulate, as_rational, from_terms,
-                    grouped, int_key, pair_shown, poly_coefficient, power,
-                    scalar_prefixed, scale_terms)
+from .arith import (TermMap, XYPoly, accumulate, as_rational, flat,
+                    from_terms, grouped, int_key, pair_shown,
+                    poly_coefficient, power, scalar_prefixed, scale_terms)
 
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
@@ -37,22 +37,17 @@ def monomial_product(m1, m2):
     (p2, q2), i2, j2 = m2
     if not ((p1 or q1) and (i2 or j2)):
         return ((((p1 + p2, q1 + q2), i1 + i2, j1 + j2), 1),)
-    ys = _leibniz_factors(q1, j2)
-    return [(((p1 + p2 - m, q1 + q2 - n), i1 + i2 - m, j1 + j2 - n), a * b)
-            for m, a in enumerate(_leibniz_factors(p1, i2))
-            for n, b in enumerate(ys)]
-
-
-def _monomials(op):
-    """The ((p, q), i, j) monomials of op with their coefficients."""
-    return [((pq, i, j), c) for pq, poly in op.terms.items()
-            for (i, j), c in poly.terms.items()]
+    xs, ys = _leibniz_factors(p1, i2), _leibniz_factors(q1, j2)
+    # A factor 1 takes the other one as it is: a * 1 copies a big int.
+    return [(((p1 + p2 - m, q1 + q2 - n), i1 + i2 - m, j1 + j2 - n),
+             a if b == 1 else b if a == 1 else a * b)
+            for m, a in enumerate(xs) for n, b in enumerate(ys)]
 
 
 def _product_sum(triples):
     """The operator sum of c * (m1 o m2) over the (m1, m2, c) triples."""
     return grouped(TDOperator, accumulate({}, (
-        (m, c if f == 1 else c * f)
+        (m, c if f == 1 else f if c == 1 else c * f)
         for m1, m2, c in triples for m, f in monomial_product(m1, m2))))
 
 
@@ -139,16 +134,16 @@ class TDOperator(TermMap):
     def compose(self, other: "TDOperator") -> "TDOperator":
         """Normal-ordered product self o other: the distributed product of
         their monomials."""
-        b = _monomials(other)
+        b = flat(other).items()
         return _product_sum((m1, m2, c1 * c2)
-                            for m1, c1 in _monomials(self) for m2, c2 in b)
+                            for m1, c1 in flat(self).items() for m2, c2 in b)
 
     def adjoint(self) -> "TDOperator":
         """Formal adjoint: (c x^i y^j Dx^p Dy^q)+ = (-1)^(p+q) Dx^p Dy^q o
         c x^i y^j."""
         return _product_sum((((p, q), 0, 0), ((0, 0), i, j),
                              -c if (p + q) % 2 else c)
-                            for ((p, q), i, j), c in _monomials(self))
+                            for ((p, q), i, j), c in flat(self).items())
 
     def __str__(self):
         return TermMap.__str__(self)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import grouped, sparse_kernel, terms_rank
+from .arith import flat, grouped, sparse_kernel, terms_rank
 from .jet import (ReducedJetPoly, eval_exp_family, prolonged_action,
                   require_field_u)
 from .record import Record
@@ -89,19 +89,41 @@ def solve_linear_determining(n: int, d: int) -> SymmetryBasis:
     return DeterminingSystem.assemble(n, d).solve()
 
 
+def _dim_within(flats, n: int, d: int) -> int:
+    """Dimension of the (n, d) solutions, read off flats, the flat kernel
+    vectors of a solve of order >= n and degree >= d: their number less the
+    rank of their coefficients on the unknowns (k, i, j), flat keys
+    (((u, k),), i, j), with |k| > n or i + j > d; 0 when n < 0. An equation
+    (k, a, b) touches only the unknowns (k, a+1, b+1), (k-1, a, b+1) and
+    (k+1, a+1, b), so the (n, d) solutions are exactly the kernel vectors
+    that vanish on every other unknown."""
+    if n < 0:
+        return 0
+    return len(flats) - terms_rank(
+        [{u: c for u, c in vec.items()
+          if abs(u[0][0][1]) > n or u[1] + u[2] > d} for vec in flats])
+
+
 def graded_dimension(n: int, d: int) -> int:
     """Dimension of the order-exactly-n layer: solutions of order <= n
-    minus solutions of order <= n-1 (empty below order zero); needs d >= n."""
-    total = solve_linear_determining(n, d).dim
-    return total - (solve_linear_determining(n - 1, d).dim if n >= 1 else 0)
+    minus solutions of order <= n-1 (empty below order zero); needs d >= n.
+    Both are read off the one solve (n, d)."""
+    flats = [flat(eta) for eta in solve_linear_determining(n, d).elements]
+    return len(flats) - _dim_within(flats, n - 1, d)
 
 
 def dimension_table(max_order: int):
     """(n, graded dimension, cumulative dimension) for n = 0..max_order, each
-    at the degree bound d = n + 2."""
-    return [(n, graded_dimension(n, n + 2),
-             solve_linear_determining(n, n + 2).dim)
-            for n in range(max_order + 1)]
+    at the degree bound d = n + 2, all read off the one solve
+    (max_order, max_order + 2)."""
+    basis = solve_linear_determining(max_order, max_order + 2)
+    flats = [flat(eta) for eta in basis.elements]
+    rows = []
+    for n in range(max_order + 1):
+        cumulative = _dim_within(flats, n, n + 2)
+        rows.append((n, cumulative - _dim_within(flats, n - 1, n + 2),
+                     cumulative))
+    return rows
 
 
 def reduced_bracket(eta1: ReducedJetPoly, eta2: ReducedJetPoly) -> ReducedJetPoly:

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from kgsym.arith import (RationalMatrix, XYPoly, accumulate, as_rational,
-                         from_terms, nullspace, poly_coefficient, rank,
-                         scale_terms)
+                         flat, from_terms, grouped, nullspace,
+                         poly_coefficient, rank, scale_terms)
 from kgsym.jet import FreeJetPoly, ReducedJetPoly
 from kgsym.opalg import TDOperator
 from kgsym.parser import parse_operator
@@ -272,3 +272,16 @@ def test_term_map_value_contract(cls):
             cls.zero() + other.zero()
     if cls is not TDOperator:
         assert value != TDOperator.identity() and TDOperator.zero() != zero
+
+
+@pytest.mark.parametrize("cls, make", [(TDOperator, random_operator),
+                                       (ReducedJetPoly, random_reduced_jet)])
+def test_flat_inverts_grouped(cls, make):
+    assert flat(cls.zero()) == {}
+    assert grouped(cls, {}) == cls.zero()
+    rng = random.Random(2207)
+    for _ in range(200):
+        value = make(rng)
+        pieces = flat(value)
+        assert all(c for c in pieces.values())
+        assert grouped(cls, pieces) == value

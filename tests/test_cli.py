@@ -398,6 +398,25 @@ def test_leibniz_factors_charged_before_they_are_built(text, position):
                            f"monomial steps (at position {position})\n")
 
 
+def test_adjoint_holds_leibniz_factors_once():
+    # The derivatives stand on the right, so the parse builds no Leibniz
+    # factor; adjoint then forms Dx^20000 o x^20000, whose 20,001 int
+    # factors take about 358 MiB. Held once, with no copy made by a factor
+    # or coefficient 1, they fit a child capped at 512 MiB of address
+    # space, and the result is refused as too large to print.
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = run_module("kgsym", "adjoint", "(x^1000)^20*(Dx^1000)^20",
+                      preexec_fn=cap_memory)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: result has a coefficient too "
+                                  "large to print")
+
+
 @pytest.mark.parametrize("command, text", [
     ("adjoint", "Dx^{}"), ("adjoint", "{}*Dx"), ("check-symmetry", "u[{}]")])
 def test_long_integer_rejected(capsys, command, text):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from kgsym import opalg
 from kgsym.arith import XYPoly
 from kgsym.opalg import (TDOperator, basis_op, basis_shapes, commutator,
-                         kg_operator, monomial_op, skew_self_split)
+                         kg_operator, monomial_op, monomial_product,
+                         skew_self_split)
 from kgsym.verify import random_operator
 
 X = XYPoly.variable("x")
@@ -238,3 +240,24 @@ def test_monomial_op_rejects_bad_input():
         monomial_op("Z", 2, 1)
     with pytest.raises(ValueError):
         monomial_op("X", -1, 0)
+
+
+@pytest.mark.parametrize("m1, m2", [
+    (((300, 0), 0, 0), ((0, 0), 300, 0)),     # Dx^300 o x^300
+    (((0, 300), 0, 0), ((0, 0), 0, 300))])    # Dy^300 o y^300
+def test_leibniz_factors_are_not_copied(monkeypatch, m1, m2):
+    # Only one side's derivative meets a variable, so the other side's
+    # factors are [1]; times 1, each big int would be copied. The factors
+    # come back as the objects the Leibniz rule built.
+    built = []
+
+    def recorded(p, i):
+        built.append(leibniz(p, i))
+        return built[-1]
+
+    leibniz = opalg._leibniz_factors
+    monkeypatch.setattr(opalg, "_leibniz_factors", recorded)
+    factors = [f for _, f in monomial_product(m1, m2)]
+    longest = max(built, key=len)
+    assert len(longest) == 301
+    assert all(f is g for f, g in zip(factors, longest, strict=True))

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from kgsym import symmetry
 from kgsym.arith import XYPoly, sparse_kernel, terms_rank
 from kgsym.jet import ReducedJetPoly, apply_operator_reduced, reduced_J
 from kgsym.opalg import monomial_op
 from kgsym.symmetry import (DeterminingSystem, SymmetryBasis,
-                            graded_dimension,
+                            dimension_table, graded_dimension,
                             independence_rank, is_generalized_symmetry,
                             reduced_bracket, solve_linear_determining)
 
@@ -308,3 +309,50 @@ def test_determining_system_construction():
         assert s.unknowns == [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
         assert s.images == [{}, {(1, 0, 0): 1}, {(-1, 0, 0): 1}]
         assert s.solve() == solve_linear_determining(0, 1)
+
+
+@pytest.mark.parametrize("max_order", range(9))
+def test_dimension_table_matches_separate_solves(max_order):
+    # The independent route: each row from its own two solves, the graded
+    # dimension as the difference of the orders n and n - 1 at d = n + 2.
+    rows = []
+    for n in range(max_order + 1):
+        cumulative = solve_linear_determining(n, n + 2).dim
+        below = solve_linear_determining(n - 1, n + 2).dim if n else 0
+        rows.append((n, cumulative - below, cumulative))
+    assert dimension_table(max_order) == rows
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_graded_dimension_matches_separate_solves(n):
+    for d in (n, n + 1, n + 3):
+        below = solve_linear_determining(n - 1, d).dim if n else 0
+        assert graded_dimension(n, d) == (
+            solve_linear_determining(n, d).dim - below)
+
+
+@pytest.fixture
+def cold_solver_cache():
+    solve_linear_determining.cache_clear()
+    yield
+    solve_linear_determining.cache_clear()
+
+
+def test_dimension_table_solves_once(monkeypatch, cold_solver_cache):
+    calls = {"assemble": [], "graded": 0}
+    assemble = DeterminingSystem.assemble
+
+    def counted_assemble(order, degree):
+        calls["assemble"].append((order, degree))
+        return assemble(order, degree)
+
+    def counted_graded(n, d):
+        calls["graded"] += 1
+        return graded_dimension(n, d)
+
+    monkeypatch.setattr(DeterminingSystem, "assemble",
+                        staticmethod(counted_assemble))
+    monkeypatch.setattr(symmetry, "graded_dimension", counted_graded)
+    assert dimension_table(5) == [(n, 2 * n + 1, (n + 1) ** 2)
+                                  for n in range(6)]
+    assert calls == {"assemble": [(5, 7)], "graded": 0}
