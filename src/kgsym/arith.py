@@ -1,8 +1,9 @@
 """Exact arithmetic substrate: rational scalars, sparse bivariate polynomials
 in x and y, and exact rational linear algebra. The linear algebra is one
-fraction-free elimination on sparse integer rows, behind sparse_kernel and
-terms_rank, with no blocks or components to find; nullspace and rank are its
-dense front ends for a RationalMatrix.
+fraction-free elimination on sparse integer rows, echelon, in a column order
+the caller may give and with no blocks or components to find; sparse_kernel
+and terms_rank read off it, and nullspace and rank are its dense front ends
+for a RationalMatrix.
 
 Everything here is exact; no floating point is used anywhere in the package.
 """
@@ -396,27 +397,27 @@ def _combine(a, row, b, pivot):
     return _primitive(out)
 
 
-def _reduced_rows(images):
-    """Fraction-free Gauss-Jordan elimination of the linear map sending
-    unknown c to the term map images[c]; returns {pivot column: row}.
+def echelon(rows, order=None):
+    """Fraction-free Gauss-Jordan elimination of the term maps rows, read as
+    the rows of a matrix over their keys; returns {pivot column: row}, each
+    row a term map of coprime integers.
 
-    Each equation, the values of one key across the images, becomes a sparse
-    {column: value} row of coprime integers and is reduced against the pivot
-    rows, keyed by leading (smallest) column, until its leading column is
-    new. Back substitution in descending pivot order then clears every
-    other pivot column, so a row holds its pivot and free columns only. Rows
-    only ever mix with rows that share a column, so the blocks of a block
-    diagonal map stay apart without being looked for."""
-    equations = {}
-    for c, terms in enumerate(images):
-        for key, v in terms.items():
-            if v:
-                equations.setdefault(key, {})[c] = v
+    Columns rank by their place in the list order when it is given, else by
+    the keys themselves. Each row is scaled to coprime integers, zeros
+    dropped, and reduced against the pivot rows, keyed by leading
+    (lowest-ranked) column, until its leading column is new. Back
+    substitution in descending pivot order then clears every other pivot
+    column, so a row holds its pivot and free columns only. Rows only ever
+    mix with rows that share a column, so the blocks of a block diagonal
+    matrix stay apart without being looked for."""
+    if order is not None:
+        place = {key: p for p, key in enumerate(order)}
+        rows = ({place[key]: v for key, v in row.items()} for row in rows)
     pivots = {}
-    for row in equations.values():
+    for row in rows:
         den = lcm(*(v.denominator for v in row.values()))
         row = _primitive({c: v.numerator * (den // v.denominator)
-                          for c, v in row.items()})
+                          for c, v in row.items() if v})
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -429,17 +430,25 @@ def _reduced_rows(images):
         for c in [c for c in row if c != p and c in pivots]:
             row = _combine(pivots[c][c], row, row[c], pivots[c])
         pivots[p] = row
-    return pivots
+    if order is None:
+        return pivots
+    return {order[p]: {order[c]: v for c, v in row.items()}
+            for p, row in pivots.items()}
 
 
 def sparse_kernel(images):
     """Reduced-echelon kernel basis of the linear map sending unknown c to
     the term map images[c], as {c: value} vectors in ascending c.
 
-    The vector of free column f is 1 at f and -row[f] / row[p] at the pivot
-    p of every reduced row that holds f; the vectors are ordered by free
-    column, their largest index."""
-    pivots = _reduced_rows(images)
+    Each equation, the values of one key across the images, is a row over
+    the columns c. The vector of free column f is 1 at f and
+    -row[f] / row[p] at the pivot p of every echelon row that holds f; the
+    vectors are ordered by free column, their largest index."""
+    equations = {}
+    for c, terms in enumerate(images):
+        for key, v in terms.items():
+            equations.setdefault(key, {})[c] = v
+    pivots = echelon(equations.values())
     kernel = {f: {} for f in range(len(images)) if f not in pivots}
     for p, row in sorted(pivots.items()):
         for f, v in row.items():
@@ -451,13 +460,7 @@ def sparse_kernel(images):
 def terms_rank(rows) -> int:
     """Exact rank of term maps read as the rows of a matrix over the union
     of their keys: the number of pivots of their elimination."""
-    return len(_reduced_rows(rows))
-
-
-def _columns(m: RationalMatrix):
-    """The columns of m as term maps {row: value}."""
-    return [{r: row[c] for r, row in enumerate(m.entries)}
-            for c in range(m.cols)]
+    return len(echelon(rows))
 
 
 def nullspace(m: RationalMatrix):
@@ -470,12 +473,14 @@ def nullspace(m: RationalMatrix):
     through sparse_kernel; this dense front end remains because the sympy
     oracle tests compare it with sympy's nullspace and the benchmark tracer
     wraps it by name."""
+    columns = [{r: row[c] for r, row in enumerate(m.entries)}
+               for c in range(m.cols)]
     return [[vec.get(c, 0) for c in range(m.cols)]
-            for vec in sparse_kernel(_columns(m))]
+            for vec in sparse_kernel(columns)]
 
 
 def rank(m: RationalMatrix) -> int:
-    """Exact rank of m: the pivot count of the elimination of its columns.
+    """Exact rank of m: the pivot count of the elimination of its rows.
     Like nullspace, a dense front end kept for the sympy oracle tests and
     the benchmark tracer."""
-    return len(_reduced_rows(_columns(m)))
+    return terms_rank(dict(enumerate(row)) for row in m.entries)

@@ -94,8 +94,8 @@ def _result_lines(result: dict):
 
 
 # Largest value of each integer argument. Work grows steeply with orders and
-# degrees; at these bounds one run takes at most about 12 s on a 2-core host
-# (verify-all --max-order 16; variational-basis --order 81 takes 10 s).
+# degrees; at these bounds one run takes at most about 10 s on a 2-core host
+# (verify-all --max-order 16 about 8 s, variational-basis --order 81 7-10 s).
 MAX_ORDER = 16          # --max-order of dims and verify-all
 MAX_BASIS_ORDER = 40    # --order of basis
 MAX_BASIS_DEGREE = 42   # --degree of basis, so the default order + 2 fits

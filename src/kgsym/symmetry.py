@@ -4,9 +4,10 @@ reduced Lie bracket, and the exponential-family independence test."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 
-from .arith import flat, grouped, sparse_kernel, terms_rank
+from .arith import echelon, flat, grouped, sparse_kernel, terms_rank
 from .jet import (ReducedJetPoly, eval_exp_family, prolonged_action,
                   require_field_u)
 from .record import Record
@@ -89,41 +90,48 @@ def solve_linear_determining(n: int, d: int) -> SymmetryBasis:
     return DeterminingSystem.assemble(n, d).solve()
 
 
-def _dim_within(flats, n: int, d: int) -> int:
-    """Dimension of the (n, d) solutions, read off flats, the flat kernel
-    vectors of a solve of order >= n and degree >= d: their number less the
-    rank of their coefficients on the unknowns (k, i, j), flat keys
-    (((u, k),), i, j), with |k| > n or i + j > d; 0 when n < 0. An equation
-    (k, a, b) touches only the unknowns (k, a+1, b+1), (k-1, a, b+1) and
-    (k+1, a+1, b), so the (n, d) solutions are exactly the kernel vectors
-    that vanish on every other unknown."""
-    if n < 0:
-        return 0
-    return len(flats) - terms_rank(
-        [{u: c for u, c in vec.items()
-          if abs(u[0][0][1]) > n or u[1] + u[2] > d} for vec in flats])
+def _chain_index(unknown) -> int:
+    """The first m for which the chain set C(2m) = (m, m + 2), C(2m + 1) =
+    (m, m + 3) of (order, degree) bounds holds the unknown with flat key
+    (((u, k),), i, j)."""
+    k, s = abs(unknown[0][0][1]), unknown[1] + unknown[2]
+    return min(2 * max(k, s - 2, 0), 2 * max(k, s - 3, 0) + 1)
+
+
+def chain_rows(basis, index=_chain_index):
+    """(index of the pivot, row) of the echelon rows of the flat kernel
+    vectors of basis, one solve, in ascending index. index(u) is the first
+    set of a chain of nested sets (C by default) that holds the unknown u,
+    and the one elimination takes the unknowns of the last sets first, so a
+    row lies in the set of its pivot: the rows of index at most m are a
+    basis of the kernel vectors inside set m. An equation (k, a, b) touches
+    only the unknowns (k, a+1, b+1), (k-1, a, b+1) and (k+1, a+1, b), so the
+    kernel vectors inside the (n, d) bounds are the (n, d) solutions."""
+    flats = [flat(eta) for eta in basis.elements]
+    columns = sorted({u for vec in flats for u in vec},
+                     key=lambda u: (-index(u), u))
+    rows = [(index(p), row) for p, row in echelon(flats, columns).items()]
+    return sorted(rows, key=lambda pair: pair[0])
 
 
 def graded_dimension(n: int, d: int) -> int:
     """Dimension of the order-exactly-n layer: solutions of order <= n
-    minus solutions of order <= n-1 (empty below order zero); needs d >= n.
-    Both are read off the one solve (n, d)."""
-    flats = [flat(eta) for eta in solve_linear_determining(n, d).elements]
-    return len(flats) - _dim_within(flats, n - 1, d)
+    minus solutions of order <= n-1 (empty below order zero); needs d >= n:
+    the rows of index 1 of the one solve (n, d) along (n - 1, d), (n, d)."""
+    return sum(m for m, _ in chain_rows(solve_linear_determining(n, d),
+                                        lambda u: abs(u[0][0][1]) == n))
 
 
 def dimension_table(max_order: int):
     """(n, graded dimension, cumulative dimension) for n = 0..max_order, each
     at the degree bound d = n + 2, all read off the one solve
-    (max_order, max_order + 2)."""
-    basis = solve_linear_determining(max_order, max_order + 2)
-    flats = [flat(eta) for eta in basis.elements]
-    rows = []
-    for n in range(max_order + 1):
-        cumulative = _dim_within(flats, n, n + 2)
-        rows.append((n, cumulative - _dim_within(flats, n - 1, n + 2),
-                     cumulative))
-    return rows
+    (max_order, max_order + 2) = C(2 max_order): the cumulative dimension
+    of order n is that of C(2n) = (n, n + 2), the graded one that less the
+    dimension of C(2n - 1) = (n - 1, n + 2)."""
+    index = [m for m, _ in chain_rows(
+        solve_linear_determining(max_order, max_order + 2))]
+    return [(n, bisect_right(index, 2 * n) - bisect_right(index, 2 * n - 1),
+             bisect_right(index, 2 * n)) for n in range(max_order + 1)]
 
 
 def reduced_bracket(eta1: ReducedJetPoly, eta2: ReducedJetPoly) -> ReducedJetPoly:

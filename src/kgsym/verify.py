@@ -8,9 +8,10 @@ suite twice produces identical results.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
-from .arith import XYPoly
+from .arith import XYPoly, grouped
 from .jet import ReducedJetPoly, apply_operator_reduced, reduced_J
 from .noether import (current_C0, current_Ctilde, current_minimal,
                       is_cl_characteristic, is_variational_linear,
@@ -20,7 +21,7 @@ from .opalg import (TDOperator, basis_op, basis_shapes, commutator,
                     kg_operator)
 from .parser import parse_jet, parse_operator
 from .record import Record
-from .symmetry import (dimension_table, independence_rank, reduced_bracket,
+from .symmetry import (chain_rows, independence_rank, reduced_bracket,
                        solve_linear_determining)
 
 ROUND_TRIP_SEED = 20260811
@@ -52,19 +53,48 @@ def _basis_ops(orders, max_index=None):
             if max_index is None or max(k, l) <= max_index]
 
 
-def check_dimension_tables(max_order: int = 5) -> CheckResult:
+def _once(table, build, *args, keep=True):
+    """build(*args), made once per table. run_all gives its checks one
+    table, which lives for that call only, and they share what they build
+    through it; a check run on its own has none and builds afresh. The last
+    check to read a value passes keep=False, which takes it out of the
+    table, so that no value is held longer than a check needs it."""
+    if table is None:
+        return build(*args)
+    key = (build, *args)
+    value = table.pop(key) if key in table else build(*args)
+    if keep:
+        table[key] = value
+    return value
+
+
+def _word_images(max_order: int):
+    """The reduced images of the basis words of order <= max_order; the
+    (n + 1)^2 of order <= n come first."""
+    return [apply_operator_reduced(op)
+            for _, _, op in _basis_ops(range(max_order + 1))]
+
+
+def check_dimension_tables(max_order: int = 5, *, _table=None) -> CheckResult:
     """Graded dimension 2n+1 and cumulative dimension (n+1)^2, with a degree
     saturation re-check one step above the default bound, and the solved
     basis spanning what the basis words of order <= n do: the solved
     elements, the words' images and both together have rank (n+1)^2. On
     characteristics linear in u, independence_rank is the rank of their
-    terms."""
+    terms. All is read off the rows of the one solve (max_order,
+    max_order + 3) along the chain C: (n, n + 2) = C(2n) and (n, n + 3) =
+    C(2n + 1)."""
     failures = []
-    rows = dimension_table(max_order)
-    words = [apply_operator_reduced(op)
-             for _, _, op in _basis_ops(range(max_order + 1))]
-    for n, graded, cumulative in rows:
-        saturated = solve_linear_determining(n, n + 3).dim
+    rows = chain_rows(solve_linear_determining(max_order, max_order + 3))
+    index = [m for m, _ in rows]
+    elements = [grouped(ReducedJetPoly, row) for _, row in rows]
+    words = _once(_table, _word_images, max_order)
+    summary = []
+    for n in range(max_order + 1):
+        cumulative = bisect_right(index, 2 * n)
+        graded = cumulative - bisect_right(index, 2 * n - 1)
+        saturated = bisect_right(index, 2 * n + 1)
+        summary.append(f"n={n}: {graded}/{cumulative}")
         size = (n + 1) ** 2
         if graded != 2 * n + 1:
             failures.append(f"graded({n})={graded}!={2 * n + 1}")
@@ -72,15 +102,14 @@ def check_dimension_tables(max_order: int = 5) -> CheckResult:
             failures.append(f"cumulative({n})={cumulative}!={size}")
         if saturated != cumulative:
             failures.append(f"saturation({n}): {saturated}!={cumulative}")
-        solved = solve_linear_determining(n, n + 2).elements
+        solved = elements[:cumulative]
         images = words[:size]
         for label, etas in (("solved", solved), ("words", images),
                             ("union", [*solved, *images])):
             r = independence_rank(etas)
             if r != size:
                 failures.append(f"{label} rank({n})={r}!={size}")
-    return _checked("dimension tables", failures,
-                    ", ".join(f"n={n}: {g}/{c}" for n, g, c in rows))
+    return _checked("dimension tables", failures, ", ".join(summary))
 
 
 def check_adjoint_parity() -> CheckResult:
@@ -156,7 +185,7 @@ def check_reduced_lift_remark() -> CheckResult:
                     "all three assertions hold")
 
 
-def check_conservation() -> CheckResult:
+def check_conservation(*, _table=None) -> CheckResult:
     """Every constructed current has the stated order and its single-field
     characteristic passes the Euler test. ConservedCurrent itself checks the
     on-shell divergence and the components' order, so Ctilde, whose order is
@@ -168,7 +197,8 @@ def check_conservation() -> CheckResult:
             yield f"Ctilde({label})", current_Ctilde(op), None
         for n in range(1, 5):
             for family, kp, lp in minimal_family_members(n):
-                yield f"{family}[{kp},{lp}]", current_minimal(family, kp, lp), n
+                current = _once(_table, current_minimal, family, kp, lp)
+                yield f"{family}[{kp},{lp}]", current, n
 
     failures = []
     count = 0
@@ -181,12 +211,12 @@ def check_conservation() -> CheckResult:
     return _checked("conservation", failures, f"{count} currents verified")
 
 
-def check_generating_action() -> CheckResult:
+def check_generating_action(*, _table=None) -> CheckResult:
     """Acting on the generating current (-u^2, u_x^2) reproduces the uniform
     currents of the skew basis operators with k + l <= 3 and the barred
     superposition current componentwise."""
     failures = []
-    generating = current_minimal("C2", 0, 0)
+    generating = _once(_table, current_minimal, "C2", 0, 0, keep=False)
     half = Fraction(1, 2)
     for label, _, op in _basis_ops((1, 3)):
         eta = apply_operator_reduced(op).total_derivative("y") * half
@@ -205,14 +235,15 @@ def check_generating_action() -> CheckResult:
                     "componentwise identities hold")
 
 
-def check_counting(max_order: int = 5) -> CheckResult:
+def check_counting(max_order: int = 5, *, _table=None) -> CheckResult:
     """4n - 1 verified minimal currents of each order n from 2 on, whose
     characteristics are independent on the exponential solution family."""
     failures = []
     counts = []
     for n in range(2, max_order + 1):
-        characteristics = [current_minimal(*member).characteristic
-                           for member in minimal_family_members(n)]
+        characteristics = [
+            _once(_table, current_minimal, *member, keep=False).characteristic
+            for member in minimal_family_members(n)]
         count = len(characteristics)
         counts.append(f"n={n}: {count}")
         if count != 4 * n - 1:
@@ -223,13 +254,13 @@ def check_counting(max_order: int = 5) -> CheckResult:
     return _checked("conservation-law counting", failures, ", ".join(counts))
 
 
-def check_independence(max_order: int = 5) -> CheckResult:
+def check_independence(max_order: int = 5, *, _table=None) -> CheckResult:
     """The 2n+1 basis-word characteristics of each order n admit no
     nontrivial combination vanishing on the exponential solution family."""
     failures = []
+    words = _once(_table, _word_images, max_order, keep=False)
     for n in range(max_order + 1):
-        r = independence_rank(apply_operator_reduced(op)
-                              for _, _, op in _basis_ops((n,)))
+        r = independence_rank(words[n * n:(n + 1) ** 2])
         if r != 2 * n + 1:
             failures.append(f"rank({n})={r}!={2 * n + 1}")
     return _checked("independence on the solution family", failures,
@@ -289,17 +320,20 @@ def check_parser_round_trip() -> CheckResult:
 
 
 def run_all(max_order: int = 5):
-    """Run the full verification suite in its fixed order."""
+    """Run the full verification suite in its fixed order. Its checks build
+    each minimal current and the word images once, and share them through
+    a table that lives for this call only."""
+    table = {}
     return [
-        check_dimension_tables(max_order),
+        check_dimension_tables(max_order, _table=table),
         check_adjoint_parity(),
         check_centrality(),
         check_structure_constants(),
         check_variational_parity(),
         check_reduced_lift_remark(),
-        check_conservation(),
-        check_generating_action(),
-        check_counting(max_order if max_order >= 2 else 2),
-        check_independence(max_order),
+        check_conservation(_table=table),
+        check_generating_action(_table=table),
+        check_counting(max_order if max_order >= 2 else 2, _table=table),
+        check_independence(max_order, _table=table),
         check_parser_round_trip(),
     ]

@@ -42,6 +42,15 @@ def test_dims_table(capsys):
                     ["2", "5", "9"], ["3", "7", "16"]]
 
 
+def test_dims_table_at_the_order_bound(capsys):
+    bound = cli.MAX_ORDER
+    code, out, _ = run_cli(capsys, "--format", "json", "dims", "--max-order",
+                           str(bound))
+    assert code == 0
+    assert json.loads(out)["result"]["rows"] == [
+        [str(n), str(2 * n + 1), str((n + 1) ** 2)] for n in range(bound + 1)]
+
+
 def test_current_json_payload(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "current", "C2", "0", "0")
     assert code == 0

@@ -9,7 +9,7 @@ from kgsym import symmetry
 from kgsym.arith import XYPoly, sparse_kernel, terms_rank
 from kgsym.jet import ReducedJetPoly, apply_operator_reduced, reduced_J
 from kgsym.opalg import monomial_op
-from kgsym.symmetry import (DeterminingSystem, SymmetryBasis,
+from kgsym.symmetry import (DeterminingSystem, SymmetryBasis, chain_rows,
                             dimension_table, graded_dimension,
                             independence_rank, is_generalized_symmetry,
                             reduced_bracket, solve_linear_determining)
@@ -321,6 +321,22 @@ def test_dimension_table_matches_separate_solves(max_order):
         below = solve_linear_determining(n - 1, n + 2).dim if n else 0
         rows.append((n, cumulative - below, cumulative))
     assert dimension_table(max_order) == rows
+
+
+def test_chain_counts_match_separate_solves():
+    # One elimination of the (8, 11) kernel along the chain C(2m) =
+    # (m, m + 2), C(2m + 1) = (m, m + 3): each row lies in the set of its
+    # pivot, and the rows inside C(2n) and C(2n + 1) count the (n, n + 2)
+    # and (n, n + 3) solutions.
+    basis = solve_linear_determining(8, 11)
+    rows = chain_rows(basis)
+    assert len(rows) == basis.dim
+    for m, row in rows:
+        assert max(map(symmetry._chain_index, row)) == m
+    for n in range(9):
+        for m, d in ((2 * n, n + 2), (2 * n + 1, n + 3)):
+            assert sum(1 for i, _ in rows if i <= m) == (
+                solve_linear_determining(n, d).dim)
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -2,14 +2,15 @@
 are applied to a generic function g(x, y), and on monomials of high order
 compared through operator symbols; the Euler operator is compared with
 sympy's Euler-Lagrange equations, and the exact kernel and rank are compared
-with sympy's own on random sparse rational matrices."""
+with sympy's own on random sparse rational matrices, and the pivot rows of
+the elimination in a given column order with sympy's rref."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from kgsym.arith import RationalMatrix, XYPoly, nullspace, rank
+from kgsym.arith import RationalMatrix, XYPoly, echelon, nullspace, rank
 from kgsym.jet import FreeJetPoly, euler_operator
 from kgsym.opalg import TDOperator
 from kgsym.verify import random_operator, random_xypoly
@@ -157,3 +158,28 @@ def test_nullspace_and_rank_match_sympy(seed):
                     for vec in _sympy_matrix(entries).nullspace()]
         assert nullspace(m) == expected
         assert rank(m) == _sympy_matrix(entries).rank()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_echelon_pivots_match_sympy_rref(seed):
+    # Columns are string keys, ranked by a shuffled order; sympy's rref of
+    # the matrix with its columns in that order pivots on the same columns,
+    # and each echelon row over its pivot value is the rref row.
+    rng = random.Random(3000 + seed)
+    for entries in _shapes(seed):
+        keys = [f"c{c}" for c in range(len(entries[0]))]
+        order = rng.sample(keys, len(keys))
+        rows = [{key: v for key, v in zip(keys, row) if v}
+                for row in entries]
+        rows = [row for row in rows if row]
+        reduced, pivots = _sympy_matrix(
+            [[row.get(key, Fraction(0)) for key in order] for row in rows]
+            or [[0] * len(order)]).rref()
+        echelon_rows = echelon(rows, order)
+        assert sorted(echelon_rows, key=order.index) == [order[p]
+                                                         for p in pivots]
+        for i, p in enumerate(pivots):
+            row = echelon_rows[order[p]]
+            assert [Fraction(row.get(key, 0), row[order[p]])
+                    for key in order] == [Fraction(int(v.p), int(v.q))
+                                          for v in reduced.row(i)]

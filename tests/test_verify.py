@@ -1,9 +1,11 @@
 """Failure paths of the verification checks that run over basis words or
-over the minimal currents.
+over the minimal currents, and the work one run_all call shares.
 
 Each check takes its words from kgsym.opalg.basis_op through one helper, so
 a wrong operator for one shape must make the check fail and name it.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +13,8 @@ from kgsym import verify
 from kgsym.arith import XYPoly
 from kgsym.noether import current_minimal
 from kgsym.opalg import TDOperator, basis_op
+from kgsym.parser import parse_jet
+from kgsym.symmetry import DeterminingSystem, solve_linear_determining
 
 
 def _patched(monkeypatch, wrong):
@@ -61,6 +65,51 @@ def test_counting_needs_independent_characteristics(monkeypatch):
     result = verify.check_counting(max_order=2)
     assert not result.passed
     assert result.detail == "rank(2)=6!=7"
+
+
+def test_extra_kernel_vector_breaks_saturation(monkeypatch):
+    # A vector that is no symmetry, x^3*u[0], injected into the kernel the
+    # check solves for: it lies in (0, 3) but not in (0, 2).
+    extra = parse_jet("x^3*u[0]")
+
+    def patched(n, d):
+        elements = (*solve_linear_determining(n, d).elements, extra)
+        return SimpleNamespace(elements=elements, dim=len(elements))
+    monkeypatch.setattr(verify, "solve_linear_determining", patched)
+    result = verify.check_dimension_tables(max_order=2)
+    assert not result.passed
+    assert "saturation(0): 2!=1" in result.detail.split("; ")
+
+
+@pytest.fixture
+def cold_solver_cache():
+    solve_linear_determining.cache_clear()
+    yield
+    solve_linear_determining.cache_clear()
+
+
+def test_run_all_solves_once_and_builds_each_current_once(monkeypatch,
+                                                          cold_solver_cache):
+    assembled, built = [], []
+    assemble = DeterminingSystem.assemble
+
+    def counted_assemble(order, degree):
+        assembled.append((order, degree))
+        return assemble(order, degree)
+
+    def counted_minimal(family, kp, lp):
+        built.append((family, kp, lp))
+        return current_minimal(family, kp, lp)
+    monkeypatch.setattr(DeterminingSystem, "assemble",
+                        staticmethod(counted_assemble))
+    monkeypatch.setattr(verify, "current_minimal", counted_minimal)
+    verify.run_all(5)
+    assert assembled == [(5, 8)]
+    assert len(built) == len(set(built)) == 55
+    # The shared currents live for one run_all call only.
+    built.clear()
+    verify.check_counting(max_order=2)
+    assert len(built) == 7
 
 
 def test_centrality_checks_each_basis_word_once(monkeypatch):
