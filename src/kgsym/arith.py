@@ -324,12 +324,23 @@ class XYPoly(TermMap):
         return (-self)._plus(other)
 
     def __mul__(self, other):
+        """The product with an XYPoly or a rational. A one-term factor
+        k x^a y^b, on either side, only shifts the other's keys by (a, b)
+        and scales by k: no two keys meet, so nothing is summed."""
         if isinstance(other, XYPoly):
-            # mul_terms with the exponent-pair product written out: this is
-            # the package's hottest loop, so it makes no call per term.
-            terms = accumulate({}, (((i1 + i2, j1 + j2), c1 * c2)
-                                    for (i1, j1), c1 in self.terms.items()
-                                    for (i2, j2), c2 in other.terms.items()))
+            terms, factor = self.terms, other.terms
+            if len(terms) == 1:
+                terms, factor = factor, terms
+            if len(factor) == 1:
+                ((a, b), k), = factor.items()
+                terms = {(i + a, j + b): _integral(c * k)
+                         for (i, j), c in terms.items()}
+            else:
+                # mul_terms with the exponent-pair product written out: this
+                # is the package's hottest loop, so it makes no call per term.
+                terms = accumulate({}, (((i1 + i2, j1 + j2), c1 * c2)
+                                        for (i1, j1), c1 in terms.items()
+                                        for (i2, j2), c2 in factor.items()))
         elif isinstance(other, (int, Fraction)):
             terms = scale_terms(self.terms, other)
         else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import XYPoly, accumulate, common_denominator
+from .arith import XYPoly, accumulate, common_denominator, grouped
 from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
                   apply_operator_reduced, euler_operator, prolonged_action,
                   require_field_u, substituted)
@@ -50,8 +50,31 @@ def _component_order(t: ReducedJetPoly, x: ReducedJetPoly) -> int:
 
 
 def onshell_divergence(t: ReducedJetPoly, x: ReducedJetPoly) -> ReducedJetPoly:
-    """Dx T + Dy X on the reduced jet; zero exactly when (T, X) is conserved."""
-    return t.total_derivative("x") + x.total_derivative("y")
+    """Dx T + Dy X on the reduced jet; zero exactly when (T, X) is conserved.
+
+    One pass on the integer multiple: the coefficient-derivative and
+    chain-rule terms of both total derivatives (Dx takes w_k to w_(k+1) and
+    Dy to w_(k-1), on every field w) are summed as ints into one flat map
+    {(monomial, i, j): c}, grouped once and divided back by the common
+    denominator of T and X."""
+    den = common_denominator((*t.terms.values(), *x.terms.values()))
+    sums = {}
+    for p, di, dj, step in ((t, 1, 0, 1), (x, 0, 1, -1)):
+        for mono, coeff in p.terms.items():
+            scaled = [(i, j, c * den if type(c) is int
+                       else c.numerator * (den // c.denominator))
+                      for (i, j), c in coeff.terms.items()]
+            for i, j, c in scaled:
+                if e := i * di + j * dj:    # the exponent Dx or Dy lowers
+                    key = mono, i - di, j - dj
+                    sums[key] = sums.get(key, 0) + e * c
+            for n, (name, k) in enumerate(mono):
+                shifted = tuple(sorted((*mono[:n], (name, k + step),
+                                        *mono[n + 1:])))
+                for i, j, c in scaled:
+                    sums[shifted, i, j] = sums.get((shifted, i, j), 0) + c
+    div = grouped(ReducedJetPoly, {key: c for key, c in sums.items() if c})
+    return div * Fraction(1, den) if div and den != 1 else div
 
 
 class ConservedCurrent(Record):
@@ -123,13 +146,13 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
         # latter Q[2kp+1, 0] = J^(2kp+1) at lp = 0.
         if family == "C1" and lp < 1:
             raise ValueError("family C1 requires lp >= 1")
-        side, sign = ("X", -1) if family == "C1" else ("Y", 1)
+        side, sx, sy = ("X", -_X, -_Y) if family == "C1" else ("Y", _X, _Y)
         base = apply_operator_reduced(monomial_op(side, kp, lp))
         dx = base.total_derivative("x")
         dy = base.total_derivative("y")
         square = base * base
-        t = ((dy * dy) * _Y + square * _X) * sign
-        x = ((dx * dx) * _X + square * _Y) * -sign
+        t = (dy * dy) * sy + square * sx
+        x = (dx * dx) * -sx + square * -sy
         char_op = basis_op("Qbar" if family == "C1bar" and lp else "Q",
                            2 * kp + 1, 2 * lp)
     elif family in ("C2", "C2bar"):

@@ -25,6 +25,8 @@ from .symmetry import (chain_rows, independence_rank, reduced_bracket,
                        solve_linear_determining)
 
 ROUND_TRIP_SEED = 20260811
+# Orders of the words whose Ctilde currents the generating action rebuilds.
+_GENERATING_ORDERS = (1, 3)
 
 
 class CheckResult(Record):
@@ -193,8 +195,10 @@ def check_conservation(*, _table=None) -> CheckResult:
     def constructed():
         yield "C0", current_C0(), 1
         yield "C0bar", current_C0(barred=True), 1
-        for label, _, op in _basis_ops(range(1, 6, 2)):
-            yield f"Ctilde({label})", current_Ctilde(op), None
+        for label, t, op in _basis_ops(range(1, 6, 2)):
+            current = _once(_table, current_Ctilde, op,
+                            keep=t in _GENERATING_ORDERS)
+            yield f"Ctilde({label})", current, None
         for n in range(1, 5):
             for family, kp, lp in minimal_family_members(n):
                 current = _once(_table, current_minimal, family, kp, lp)
@@ -218,10 +222,10 @@ def check_generating_action(*, _table=None) -> CheckResult:
     failures = []
     generating = _once(_table, current_minimal, "C2", 0, 0, keep=False)
     half = Fraction(1, 2)
-    for label, _, op in _basis_ops((1, 3)):
+    for label, _, op in _basis_ops(_GENERATING_ORDERS):
         eta = apply_operator_reduced(op).total_derivative("y") * half
         candidate = symmetry_action_on_current(eta, generating)
-        expected = current_Ctilde(op)
+        expected = _once(_table, current_Ctilde, op, keep=False)
         if not (candidate.t == expected.t and candidate.x == expected.x
                 and candidate.is_conserved):
             failures.append(f"Ctilde action mismatch for {label}")
@@ -321,8 +325,8 @@ def check_parser_round_trip() -> CheckResult:
 
 def run_all(max_order: int = 5):
     """Run the full verification suite in its fixed order. Its checks build
-    each minimal current and the word images once, and share them through
-    a table that lives for this call only."""
+    each minimal current, Ctilde current and word image once, and share
+    them through a table that lives for this call only."""
     table = {}
     return [
         check_dimension_tables(max_order, _table=table),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kgsym.arith import (RationalMatrix, XYPoly, accumulate, as_rational,
-                         flat, from_terms, grouped, nullspace,
+                         flat, from_terms, grouped, mul_terms, nullspace,
                          poly_coefficient, rank, scale_terms)
 from kgsym.jet import FreeJetPoly, ReducedJetPoly
 from kgsym.opalg import TDOperator
@@ -285,3 +285,29 @@ def test_flat_inverts_grouped(cls, make):
         pieces = flat(value)
         assert all(c for c in pieces.values())
         assert grouped(cls, pieces) == value
+
+
+@pytest.mark.parametrize("factor", [
+    XYPoly.one(), XYPoly.constant(-1), XYPoly.constant(Fraction(-4, 6)),
+    XYPoly({(2, 1): 1}), XYPoly({(0, 3): -1}), XYPoly({(1, 2): Fraction(3, 2)}),
+    XYPoly({(3, 0): 2})],
+    ids=["1", "-1", "fraction", "x^2*y", "-y^3", "3/2*x*y^2", "2*x^3"])
+def test_product_with_one_term_polynomial(factor):
+    # A one-term factor, on either side, shifts the keys of the other
+    # polynomial; the product must be the generic one, coefficient types
+    # included.
+    def generic(a, b):
+        return from_terms(XYPoly, mul_terms(
+            a.terms, b.terms, lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1])))
+    rng = random.Random(2411)
+    others = [XYPoly.zero(), XYPoly.one(), XYPoly.constant(Fraction(3, 2)),
+              factor, *(random_xypoly(rng, max_degree=3, max_terms=5)
+                        for _ in range(60))]
+    for other in others:
+        want = generic(factor, other)
+        for got in (factor * other, other * factor):
+            assert got == want
+            assert repr(got) == repr(want)
+            assert ({key: repr(c) for key, c in got.terms.items()}
+                    == {key: repr(c) for key, c in want.terms.items()})
+    assert factor * XYPoly.zero() == XYPoly.zero() * factor == 0

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from kgsym.noether import (ConservedCurrent, CurrentCandidate,
 from kgsym.opalg import (TDOperator, basis_op, basis_shapes, kg_operator,
                          monomial_op)
 from kgsym.symmetry import independence_rank
+from kgsym.verify import random_reduced_jet
 
 X = XYPoly.variable("x")
 Y = XYPoly.variable("y")
@@ -214,6 +216,46 @@ def test_conserved_current_constructor_rejects_bad_pairs():
         ConservedCurrent("C2", -u(0) * u(0), u(1) * u(1), 2)
     with pytest.raises(ValueError, match="unknown current family"):
         ConservedCurrent("bogus", -u(0) * u(0), u(1) * u(1), 1)
+
+
+def test_onshell_divergence_is_the_sum_of_total_derivatives():
+    # The divergence is made in one pass on an integer multiple; it must
+    # be Dx T + Dy X exactly, down to the type of every coefficient.
+    rng = random.Random(24)
+    nonzero = 0
+    for _ in range(2000):
+        t, x = random_reduced_jet(rng), random_reduced_jet(rng)
+        got = onshell_divergence(t, x)
+        want = t.total_derivative("x") + x.total_derivative("y")
+        assert got == want, (t, x)
+        assert ({mono: repr(c) for mono, c in got.terms.items()}
+                == {mono: repr(c) for mono, c in want.terms.items()})
+        nonzero += bool(got)
+    assert nonzero > 1800
+
+
+def test_onshell_divergence_of_fields_with_integral_coefficients():
+    assert onshell_divergence(f(0) * u(-1) * 3, -f(1) * u(0) * 3) == 0
+    div = onshell_divergence(u(0) * X * Y, f(1) * Y * Y)
+    assert str(div) == "2*y*f[1] + y^2*f[0] + x*y*u[1] + y*u[0]"
+    assert onshell_divergence(ReducedJetPoly.zero(),
+                              ReducedJetPoly.zero()).is_zero()
+
+
+def test_not_conserved_rejection_text():
+    with pytest.raises(ValueError) as excinfo:
+        ConservedCurrent("C0", u(0) ** 2 * Fraction(1, 3), u(1), 1)
+    assert str(excinfo.value) == ("current is not conserved on shell; "
+                                  "divergence = 2/3*u[1]*u[0] + u[0]")
+
+
+def test_divergence_of_non_conserved_action():
+    eta = u(0) * X * Fraction(1, 3) + u(1) * u(0) * Y
+    candidate = symmetry_action_on_current(eta, current_minimal("C2", 0, 0))
+    assert not candidate.is_conserved
+    assert str(candidate.divergence) == (
+        "2*u[2]*u[1]*u[0] + 2*y*u[2]*u[1]*u[-1] + 4*y*u[1]^2*u[0] "
+        "+ 2*u[1]^3 + 2/3*u[1]*u[-1]")
 
 
 def test_symmetry_action_reproduces_uniform_currents():

@@ -11,7 +11,7 @@ import pytest
 
 from kgsym import verify
 from kgsym.arith import XYPoly
-from kgsym.noether import current_minimal
+from kgsym.noether import current_Ctilde, current_minimal
 from kgsym.opalg import TDOperator, basis_op
 from kgsym.parser import parse_jet
 from kgsym.symmetry import DeterminingSystem, solve_linear_determining
@@ -110,6 +110,25 @@ def test_run_all_solves_once_and_builds_each_current_once(monkeypatch,
     built.clear()
     verify.check_counting(max_order=2)
     assert len(built) == 7
+
+
+def test_run_all_builds_each_uniform_current_once(monkeypatch):
+    built = []
+
+    def counted_Ctilde(op):
+        built.append(op)
+        return current_Ctilde(op)
+    monkeypatch.setattr(verify, "current_Ctilde", counted_Ctilde)
+    results = verify.run_all(2)
+    # conservation builds the 3 + 7 + 11 words of orders 1, 3 and 5; the
+    # generating action reads the ten of orders 1 and 3 from the table.
+    assert len(built) == len(set(built)) == 21
+    by_name = {r.name: r for r in results}
+    assert by_name["conservation"].detail == "59 currents verified"
+    assert by_name["generating conservation law"].passed
+    built.clear()
+    assert verify.check_generating_action().passed
+    assert len(built) == 10
 
 
 def test_centrality_checks_each_basis_word_once(monkeypatch):
