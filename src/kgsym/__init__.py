@@ -5,12 +5,12 @@ equation u_xy = u. All arithmetic is exact rational."""
 from .arith import Rational, RationalMatrix, XYPoly, nullspace, rank
 from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
                   apply_operator_reduced, eval_exp_family, euler_operator,
-                  iterated_derivative, reduce, reduced_J)
+                  iterated_derivative, lift, onshell_divergence, reduce,
+                  reduced_J)
 from .noether import (ConservedCurrent, CurrentCandidate, count_order_n_currents,
                       current_C0, current_Ctilde, current_minimal,
                       is_cl_characteristic, is_variational_linear,
-                      lift_linear_characteristic, onshell_divergence,
-                      symmetry_action_on_current)
+                      lift_linear_characteristic, symmetry_action_on_current)
 from .opalg import (TDOperator, basis_op, commutator, kg_operator,
                     monomial_op, skew_self_split)
 from .parser import ParseError, parse_jet, parse_operator

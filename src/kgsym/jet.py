@@ -4,8 +4,11 @@ Two representations live here. The reduced (on-shell) jet has coordinates
 w_k per field w, one integer index k: w_k is the k-th pure x-derivative for
 k >= 0 and the (-k)-th pure y-derivative for k < 0, with the mixed derivative
 eliminated through w_xy = w. The free (off-shell) jet keeps all coordinates
-u_(a,b) of the single field u. Total derivatives, the Euler operator and the
-on-shell reduction morphism connect the two pictures.
+u_(a,b) of the single field u. Every rule that turns jet monomials into
+other jet monomials lives here: the total derivatives (one at a time by the
+chain rule, and Dx T + Dy X of a pair in one flat integer pass), the Euler
+operator, the on-shell reduction morphism and lift, its inverse on the pure
+derivatives of u.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 
-from .arith import (TermMap, XYPoly, accumulate, from_terms, monomial_str,
-                    mul_terms, poly_coefficient, power, scalar_prefixed,
-                    scale_terms)
+from .arith import (TermMap, XYPoly, accumulate, common_denominator,
+                    from_terms, grouped, monomial_str, mul_terms,
+                    poly_coefficient, power, scalar_prefixed, scale_terms)
 from .opalg import TDOperator
 
 _X = XYPoly.variable("x")
@@ -91,6 +94,34 @@ def _chain_rule(terms, var, shift):
             yield mono, dc
         for i, v in enumerate(mono):
             yield tuple(sorted(mono[:i] + (shift(v),) + mono[i + 1:])), coeff
+
+
+def onshell_divergence(t: ReducedJetPoly, x: ReducedJetPoly) -> ReducedJetPoly:
+    """Dx T + Dy X on the reduced jet; zero exactly when (T, X) is conserved.
+
+    One pass on the integer multiple: the coefficient-derivative and
+    chain-rule terms of both total derivatives (Dx takes w_k to w_(k+1) and
+    Dy to w_(k-1), on every field w) are summed as ints into one flat map
+    {(monomial, i, j): c}, grouped once and divided back by the common
+    denominator of T and X."""
+    den = common_denominator((*t.terms.values(), *x.terms.values()))
+    sums = {}
+    for p, di, dj, step in ((t, 1, 0, 1), (x, 0, 1, -1)):
+        for mono, coeff in p.terms.items():
+            scaled = [(i, j, c * den if type(c) is int
+                       else c.numerator * (den // c.denominator))
+                      for (i, j), c in coeff.terms.items()]
+            for i, j, c in scaled:
+                if e := i * di + j * dj:    # the exponent Dx or Dy lowers
+                    key = mono, i - di, j - dj
+                    sums[key] = sums.get(key, 0) + e * c
+            for n, (name, k) in enumerate(mono):
+                shifted = tuple(sorted((*mono[:n], (name, k + step),
+                                        *mono[n + 1:])))
+                for i, j, c in scaled:
+                    sums[shifted, i, j] = sums.get((shifted, i, j), 0) + c
+    div = grouped(ReducedJetPoly, {key: c for key, c in sums.items() if c})
+    return div * Fraction(1, den) if div and den != 1 else div
 
 
 class _JetPoly(TermMap):
@@ -335,7 +366,7 @@ def _horner_step(acc, var, term):
     return acc + term if term else acc
 
 
-def substituted(mono, sub):
+def _substituted(mono, sub):
     """The monomial mono with each jet variable v replaced by sub(v)."""
     return tuple(sorted(map(sub, mono)))
 
@@ -343,8 +374,18 @@ def substituted(mono, sub):
 def reduce(p: FreeJetPoly) -> ReducedJetPoly:
     """Substitute u_(a,b) -> u_(a-b) using u_xy = u and its consequences."""
     return from_terms(ReducedJetPoly, accumulate(
-        {}, ((substituted(mono, lambda v: ("u", v[0] - v[1])), c)
+        {}, ((_substituted(mono, lambda v: ("u", v[0] - v[1])), c)
              for mono, c in p.terms.items())))
+
+
+def lift(p: ReducedJetPoly) -> FreeJetPoly:
+    """Lift u_k to the pure derivative u_(k,0) for k >= 0, u_(0,-k) else:
+    reduce(lift(p)) == p. The map is one-to-one on monomials, so no two
+    terms meet. ValueError unless p involves only the field u."""
+    require_field_u(p, "lift expects only the field u")
+    return from_terms(FreeJetPoly, {
+        _substituted(mono, lambda v: (max(v[1], 0), max(-v[1], 0))): c
+        for mono, c in p.terms.items()})
 
 
 def eval_exp_family(p: ReducedJetPoly) -> dict:

@@ -1,19 +1,20 @@
 """Variational-symmetry testing and conserved currents.
 
 A conserved current is a pair (T, X) of jet polynomials whose on-shell
-divergence Dx T + Dy X vanishes identically; constructors verify that, and
-the recorded order, before returning anything. The Euler-operator test
-certifies conservation-law characteristics independently of any current.
+divergence Dx T + Dy X (jet.onshell_divergence) vanishes identically;
+constructors verify that, and the recorded order, before returning anything.
+The Euler-operator test on the free lift (jet.lift) certifies the
+characteristics of conservation laws independently of any current; every
+rule on jet monomials lives in kgsym.jet.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import XYPoly, accumulate, common_denominator, grouped
-from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
-                  apply_operator_reduced, euler_operator, prolonged_action,
-                  require_field_u, substituted)
+from .arith import XYPoly, common_denominator
+from .jet import (ReducedJetPoly, apply_operator_free, apply_operator_reduced,
+                  euler_operator, lift, onshell_divergence, prolonged_action)
 from .opalg import (TDOperator, basis_op, kg_operator, monomial_op,
                     skew_self_split)
 from .record import Record
@@ -47,34 +48,6 @@ def is_variational_linear(a: TDOperator) -> bool:
 def _component_order(t: ReducedJetPoly, x: ReducedJetPoly) -> int:
     """Max of the component orders; 0 when both are coefficient-only."""
     return max(t.order() or 0, x.order() or 0)
-
-
-def onshell_divergence(t: ReducedJetPoly, x: ReducedJetPoly) -> ReducedJetPoly:
-    """Dx T + Dy X on the reduced jet; zero exactly when (T, X) is conserved.
-
-    One pass on the integer multiple: the coefficient-derivative and
-    chain-rule terms of both total derivatives (Dx takes w_k to w_(k+1) and
-    Dy to w_(k-1), on every field w) are summed as ints into one flat map
-    {(monomial, i, j): c}, grouped once and divided back by the common
-    denominator of T and X."""
-    den = common_denominator((*t.terms.values(), *x.terms.values()))
-    sums = {}
-    for p, di, dj, step in ((t, 1, 0, 1), (x, 0, 1, -1)):
-        for mono, coeff in p.terms.items():
-            scaled = [(i, j, c * den if type(c) is int
-                       else c.numerator * (den // c.denominator))
-                      for (i, j), c in coeff.terms.items()]
-            for i, j, c in scaled:
-                if e := i * di + j * dj:    # the exponent Dx or Dy lowers
-                    key = mono, i - di, j - dj
-                    sums[key] = sums.get(key, 0) + e * c
-            for n, (name, k) in enumerate(mono):
-                shifted = tuple(sorted((*mono[:n], (name, k + step),
-                                        *mono[n + 1:])))
-                for i, j, c in scaled:
-                    sums[shifted, i, j] = sums.get((shifted, i, j), 0) + c
-    div = grouped(ReducedJetPoly, {key: c for key, c in sums.items() if c})
-    return div * Fraction(1, den) if div and den != 1 else div
 
 
 class ConservedCurrent(Record):
@@ -175,25 +148,11 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
 def lift_linear_characteristic(eta: ReducedJetPoly) -> TDOperator:
     """Re-lift a characteristic linear in the jets of u to the operator whose
     coefficients of u_k become pure Dx^k (k >= 0) or Dy^(-k) powers."""
-    lifted = _lift_free(eta)
+    lifted = lift(eta)
     if not eta.is_linear():
         raise ValueError("lift expects a characteristic linear in the jets")
     # Each monomial of the linear lift is one coordinate u_(a,b) = Dx^a Dy^b u.
-    return TDOperator({mono[0]: coeff
-                       for mono, coeff in lifted.terms.items()})
-
-
-def _lift_free(eta: ReducedJetPoly) -> FreeJetPoly:
-    """Lift u_k to the pure derivative u_(k,0) or u_(0,-k)."""
-    require_field_u(eta, "lift expects only the field u")
-    return FreeJetPoly(accumulate({}, ((substituted(mono, _lifted_var), coeff)
-                                       for mono, coeff in eta.terms.items())))
-
-
-def _lifted_var(v):
-    """The free coordinate of u_k: u_(k,0) for k >= 0, else u_(0,-k)."""
-    k = v[1]
-    return (k, 0) if k >= 0 else (0, -k)
+    return TDOperator({var: c for (var,), c in lifted.terms.items()})
 
 
 def is_cl_characteristic(eta: ReducedJetPoly) -> bool:
@@ -201,7 +160,7 @@ def is_cl_characteristic(eta: ReducedJetPoly) -> bool:
     certified by the Euler operator annihilating the lifted product. The
     answer is the same for every nonzero multiple of eta, so the test runs
     on the integer one."""
-    lifted = _lift_free(_integer_multiple(eta))
+    lifted = lift(_integer_multiple(eta))
     equation = apply_operator_free(kg_operator())
     return euler_operator(lifted * equation).is_zero()
 

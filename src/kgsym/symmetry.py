@@ -98,28 +98,28 @@ def _chain_index(unknown) -> int:
     return min(2 * max(k, s - 2, 0), 2 * max(k, s - 3, 0) + 1)
 
 
-def chain_rows(basis, index=_chain_index):
-    """(index of the pivot, row) of the echelon rows of the flat kernel
-    vectors of basis, one solve, in ascending index. index(u) is the first
-    set of a chain of nested sets (C by default) that holds the unknown u,
-    and the one elimination takes the unknowns of the last sets first, so a
-    row lies in the set of its pivot: the rows of index at most m are a
-    basis of the kernel vectors inside set m. An equation (k, a, b) touches
-    only the unknowns (k, a+1, b+1), (k-1, a, b+1) and (k+1, a+1, b), so the
-    kernel vectors inside the (n, d) bounds are the (n, d) solutions."""
+def chain_rows(basis):
+    """(chain index of the pivot, row) of the echelon rows of the flat kernel
+    vectors of basis, one solve, in ascending index. The one elimination
+    takes the unknowns of the last sets of the chain C first, so a row lies
+    in the set of its pivot: the rows of index at most m are a basis of the
+    kernel vectors inside C(m). An equation (k, a, b) touches only the
+    unknowns (k, a+1, b+1), (k-1, a, b+1) and (k+1, a+1, b), so the kernel
+    vectors inside the (n, d) bounds are the (n, d) solutions."""
     flats = [flat(eta) for eta in basis.elements]
     columns = sorted({u for vec in flats for u in vec},
-                     key=lambda u: (-index(u), u))
-    rows = [(index(p), row) for p, row in echelon(flats, columns).items()]
+                     key=lambda u: (-_chain_index(u), u))
+    rows = [(_chain_index(p), r) for p, r in echelon(flats, columns).items()]
     return sorted(rows, key=lambda pair: pair[0])
 
 
 def graded_dimension(n: int, d: int) -> int:
-    """Dimension of the order-exactly-n layer: solutions of order <= n
-    minus solutions of order <= n-1 (empty below order zero); needs d >= n:
-    the rows of index 1 of the one solve (n, d) along (n - 1, d), (n, d)."""
-    return sum(m for m, _ in chain_rows(solve_linear_determining(n, d),
-                                        lambda u: abs(u[0][0][1]) == n))
+    """Dimension of the order-exactly-n layer, needs d >= n: by rank-nullity
+    the rank of the |k| = n parts of the (n, d) solutions, since those with
+    no u_(+-n) term are the (n - 1, d) solutions."""
+    return terms_rank([{u: c for u, c in flat(eta).items()
+                        if abs(u[0][0][1]) == n}
+                       for eta in solve_linear_determining(n, d).elements])
 
 
 def dimension_table(max_order: int):

@@ -8,7 +8,7 @@ import pytest
 from kgsym.arith import XYPoly, accumulate
 from kgsym.jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
                        apply_operator_reduced, eval_exp_family, euler_operator,
-                       reduce, reduced_J)
+                       lift, reduce, reduced_J)
 from kgsym.opalg import TDOperator, kg_operator, monomial_op
 from kgsym.verify import random_reduced_jet, random_xypoly
 
@@ -129,6 +129,31 @@ def test_reduce_is_ring_morphism():
         q = random_free_jet(rng)
         assert reduce(p * q) == reduce(p) * reduce(q)
         assert reduce(p + q) == reduce(p) + reduce(q)
+
+
+def test_lift_examples():
+    assert lift(u(2) * u(-3) * X + Fraction(1, 2)) == (
+        uf(2, 0) * uf(0, 3) * X + Fraction(1, 2))
+    assert lift(ReducedJetPoly.zero()) == FreeJetPoly.zero()
+
+
+def test_reduce_inverts_lift_on_pure_coordinates():
+    # Seeded jets in u with Fraction coefficients, the zero jet and
+    # coefficient-only jets among them; lift is one-to-one on monomials.
+    rng = random.Random(35)
+    for _ in range(2000):
+        p = random_reduced_jet(rng, fields=("u",))
+        lifted = lift(p)
+        assert type(lifted) is FreeJetPoly
+        assert reduce(lifted) == p
+        assert len(lifted.terms) == len(p.terms)
+        # Each variable is a pure coordinate u_(a,0) or u_(0,b), a, b >= 0.
+        assert all(min(var) == 0 for mono in lifted.terms for var in mono)
+
+
+def test_lift_rejects_other_fields():
+    with pytest.raises(ValueError, match="only the field u.*'f'"):
+        lift(u(0) * ReducedJetPoly.var("f", 1))
 
 
 def test_eval_exp_family_examples():

@@ -339,9 +339,9 @@ def test_chain_counts_match_separate_solves():
                 solve_linear_determining(n, d).dim)
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(7))
 def test_graded_dimension_matches_separate_solves(n):
-    for d in (n, n + 1, n + 3):
+    for d in range(n, n + 5):
         below = solve_linear_determining(n - 1, d).dim if n else 0
         assert graded_dimension(n, d) == (
             solve_linear_determining(n, d).dim - below)

@@ -1,7 +1,8 @@
 """Independent checks in sympy: operator composition and the formal adjoint
 are applied to a generic function g(x, y), and on monomials of high order
 compared through operator symbols; the Euler operator is compared with
-sympy's Euler-Lagrange equations, and the exact kernel and rank are compared
+sympy's Euler-Lagrange equations and the free total derivatives with
+sympy's derivatives in x and y, and the exact kernel and rank are compared
 with sympy's own on random sparse rational matrices, and the pivot rows of
 the elimination in a given column order with sympy's rref."""
 
@@ -115,6 +116,14 @@ def test_euler_operator_matches_sympy(seed):
     (equation,) = sympy.euler_equations(_free_jet(lagrangian), g, [x, y])
     expected = equation.lhs - equation.rhs
     assert sympy.expand(_free_jet(euler_operator(lagrangian)) - expected) == 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_total_derivative_matches_sympy(seed):
+    p = _random_lagrangian(random.Random(4000 + seed))
+    for var, symbol in (("x", x), ("y", y)):
+        assert sympy.expand(_free_jet(p.total_derivative(var))
+                            - sympy.diff(_free_jet(p), symbol)) == 0
 
 
 def _sparse_rows(rng, rows, cols, density=0.3):
