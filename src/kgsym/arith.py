@@ -66,11 +66,16 @@ def accumulate(out, items):
 
 
 def scale_terms(terms, factor):
-    """Every coefficient times factor; negation is scaling by -1."""
+    """Every coefficient times factor."""
     factor = _integral(factor)
     if not factor:
         return {}
     return {key: _integral(c * factor) for key, c in terms.items()}
+
+
+def neg_terms(terms):
+    """Every coefficient negated; a clean coefficient stays clean."""
+    return {key: -c for key, c in terms.items()}
 
 
 def mul_terms(a, b, key_mul):
@@ -218,7 +223,7 @@ class TermMap:
             if terms is None:
                 return NotImplemented
         if sign != 1:
-            terms = scale_terms(terms, sign)
+            terms = neg_terms(terms)
         return from_terms(type(self),
                           accumulate(dict(self.terms), terms.items()))
 
@@ -315,7 +320,7 @@ class XYPoly(TermMap):
     __radd__ = __add__
 
     def __neg__(self):
-        return from_terms(XYPoly, scale_terms(self.terms, -1))
+        return from_terms(XYPoly, neg_terms(self.terms))
 
     def __sub__(self, other):
         return self._plus(other, -1)

@@ -18,7 +18,7 @@ import sys
 from . import verify
 from .noether import (CURRENT_FAMILIES, MINIMAL_FAMILIES, current_C0,
                       current_Ctilde, current_minimal, is_variational_linear)
-from .opalg import basis_op, basis_shapes, commutator
+from .opalg import commutator
 from .parser import parse_jet, parse_operator
 from .symmetry import (dimension_table, is_generalized_symmetry,
                        reduced_bracket, solve_linear_determining)
@@ -194,9 +194,8 @@ def _cmd_variational(args: dict) -> Report:
 
 def _cmd_variational_basis(args: dict) -> Report:
     n = _nonnegative(args, "order", MAX_SKEW_ORDER)
-    elements = [{"label": f"{kind}[{k},{l}]",
-                 "text": str(basis_op(kind, k, l))}
-                for kind, k, l in (basis_shapes(n) if n % 2 == 1 else [])]
+    elements = [{"label": label, "text": str(op)} for label, _, op
+                in verify.basis_words((n,) if n % 2 == 1 else ())]
     return Report(
         command="variational-basis", arguments={"order": str(n)},
         result={"kind": "operator_list", "order": str(n),

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .arith import (TermMap, XYPoly, accumulate, common_denominator,
-                    from_terms, grouped, monomial_str, mul_terms,
+                    from_terms, grouped, monomial_str, mul_terms, neg_terms,
                     poly_coefficient, power, scalar_prefixed, scale_terms)
 from .opalg import TDOperator
 
@@ -206,7 +206,7 @@ class ReducedJetPoly(_JetPoly):
     __radd__ = __add__
 
     def __neg__(self):
-        return _times(self, -1)
+        return from_terms(ReducedJetPoly, neg_terms(self.terms))
 
     def __sub__(self, other):
         return self._plus(other, -1)
@@ -263,7 +263,7 @@ class FreeJetPoly(_JetPoly):
     __radd__ = __add__
 
     def __neg__(self):
-        return _times(self, -1)
+        return from_terms(FreeJetPoly, neg_terms(self.terms))
 
     def __sub__(self, other):
         return self._plus(other, -1)

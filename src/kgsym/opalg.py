@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import (TermMap, XYPoly, accumulate, as_rational, flat,
-                    from_terms, grouped, int_key, pair_shown,
+                    from_terms, grouped, int_key, neg_terms, pair_shown,
                     poly_coefficient, power, scalar_prefixed, scale_terms)
 
 _X = XYPoly.variable("x")
@@ -103,7 +103,7 @@ class TDOperator(TermMap):
         return self._plus(other, -1)
 
     def __neg__(self):
-        return from_terms(TDOperator, scale_terms(self.terms, -1))
+        return from_terms(TDOperator, neg_terms(self.terms))
 
     def scale(self, value) -> "TDOperator":
         """Multiply by a constant scalar (constants commute with Dx, Dy)."""

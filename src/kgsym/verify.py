@@ -25,8 +25,6 @@ from .symmetry import (chain_rows, independence_rank, reduced_bracket,
                        solve_linear_determining)
 
 ROUND_TRIP_SEED = 20260811
-# Orders of the words whose Ctilde currents the generating action rebuilds.
-_GENERATING_ORDERS = (1, 3)
 
 
 class CheckResult(Record):
@@ -47,7 +45,7 @@ def _checked(name: str, failures, summary: str) -> CheckResult:
                        "; ".join(failures) if failures else summary)
 
 
-def _basis_ops(orders, max_index=None):
+def basis_words(orders, max_index=None):
     """(label, order, operator) of each basis word kind[k,l] of the orders,
     in basis_shapes order; with max_index, only those of k, l <= max_index."""
     return [(f"{kind}[{k},{l}]", t, basis_op(kind, k, l))
@@ -55,16 +53,15 @@ def _basis_ops(orders, max_index=None):
             if max_index is None or max(k, l) <= max_index]
 
 
-def _once(table, build, *args, keep=True):
-    """build(*args), made once per table. run_all gives its checks one
-    table, which lives for that call only, and they share what they build
-    through it; a check run on its own has none and builds afresh. The last
-    check to read a value passes keep=False, which takes it out of the
-    table, so that no value is held longer than a check needs it."""
+def _minimal(table, family, kp, lp, *, keep=True):
+    """current_minimal(family, kp, lp), made once per table. run_all gives
+    its checks one table, which lives for that call only; a check run on its
+    own has none. The last check to read a current passes keep=False, which
+    takes it out of the table, so that none is held longer than needed."""
     if table is None:
-        return build(*args)
-    key = (build, *args)
-    value = table.pop(key) if key in table else build(*args)
+        return current_minimal(family, kp, lp)
+    key = (family, kp, lp)
+    value = table.pop(key) if key in table else current_minimal(*key)
     if keep:
         table[key] = value
     return value
@@ -74,10 +71,10 @@ def _word_images(max_order: int):
     """The reduced images of the basis words of order <= max_order; the
     (n + 1)^2 of order <= n come first."""
     return [apply_operator_reduced(op)
-            for _, _, op in _basis_ops(range(max_order + 1))]
+            for _, _, op in basis_words(range(max_order + 1))]
 
 
-def check_dimension_tables(max_order: int = 5, *, _table=None) -> CheckResult:
+def check_dimension_tables(max_order: int = 5) -> CheckResult:
     """Graded dimension 2n+1 and cumulative dimension (n+1)^2, with a degree
     saturation re-check one step above the default bound, and the solved
     basis spanning what the basis words of order <= n do: the solved
@@ -90,7 +87,7 @@ def check_dimension_tables(max_order: int = 5, *, _table=None) -> CheckResult:
     rows = chain_rows(solve_linear_determining(max_order, max_order + 3))
     index = [m for m, _ in rows]
     elements = [grouped(ReducedJetPoly, row) for _, row in rows]
-    words = _once(_table, _word_images, max_order)
+    words = _word_images(max_order)
     summary = []
     for n in range(max_order + 1):
         cumulative = bisect_right(index, 2 * n)
@@ -116,7 +113,7 @@ def check_dimension_tables(max_order: int = 5, *, _table=None) -> CheckResult:
 
 def check_adjoint_parity() -> CheckResult:
     """adjoint(basis_op) = (-1)^(k+l) basis_op for k, l <= 4."""
-    words = _basis_ops(range(9), max_index=4)
+    words = basis_words(range(9), max_index=4)
     failures = [label for label, t, op in words
                 if op.adjoint() != op.scale((-1) ** t)]
     return _checked("adjoint parity", failures,
@@ -126,7 +123,7 @@ def check_adjoint_parity() -> CheckResult:
 def check_centrality() -> CheckResult:
     """The equation operator commutes with every basis word of k + l <= 6."""
     kg = kg_operator()
-    words = _basis_ops(range(7))
+    words = basis_words(range(7))
     failures = [label for label, _, op in words
                 if not commutator(kg, op).is_zero()]
     return _checked("centrality of the equation operator", failures,
@@ -155,7 +152,7 @@ def check_structure_constants() -> CheckResult:
 def check_variational_parity() -> CheckResult:
     """Linear basis operators of k + l <= 7 are variational exactly when
     k + l is odd."""
-    words = _basis_ops(range(8))
+    words = basis_words(range(8))
     failures = [label for label, t, op in words
                 if is_variational_linear(op) != (t % 2 == 1)]
     return _checked("variational parity", failures,
@@ -195,13 +192,11 @@ def check_conservation(*, _table=None) -> CheckResult:
     def constructed():
         yield "C0", current_C0(), 1
         yield "C0bar", current_C0(barred=True), 1
-        for label, t, op in _basis_ops(range(1, 6, 2)):
-            current = _once(_table, current_Ctilde, op,
-                            keep=t in _GENERATING_ORDERS)
-            yield f"Ctilde({label})", current, None
+        for label, _, op in basis_words(range(1, 6, 2)):
+            yield f"Ctilde({label})", current_Ctilde(op), None
         for n in range(1, 5):
             for family, kp, lp in minimal_family_members(n):
-                current = _once(_table, current_minimal, family, kp, lp)
+                current = _minimal(_table, family, kp, lp)
                 yield f"{family}[{kp},{lp}]", current, n
 
     failures = []
@@ -220,12 +215,12 @@ def check_generating_action(*, _table=None) -> CheckResult:
     currents of the skew basis operators with k + l <= 3 and the barred
     superposition current componentwise."""
     failures = []
-    generating = _once(_table, current_minimal, "C2", 0, 0, keep=False)
+    generating = _minimal(_table, "C2", 0, 0, keep=False)
     half = Fraction(1, 2)
-    for label, _, op in _basis_ops(_GENERATING_ORDERS):
+    for label, _, op in basis_words((1, 3)):
         eta = apply_operator_reduced(op).total_derivative("y") * half
         candidate = symmetry_action_on_current(eta, generating)
-        expected = _once(_table, current_Ctilde, op, keep=False)
+        expected = current_Ctilde(op)
         if not (candidate.t == expected.t and candidate.x == expected.x
                 and candidate.is_conserved):
             failures.append(f"Ctilde action mismatch for {label}")
@@ -246,7 +241,7 @@ def check_counting(max_order: int = 5, *, _table=None) -> CheckResult:
     counts = []
     for n in range(2, max_order + 1):
         characteristics = [
-            _once(_table, current_minimal, *member, keep=False).characteristic
+            _minimal(_table, *member, keep=False).characteristic
             for member in minimal_family_members(n)]
         count = len(characteristics)
         counts.append(f"n={n}: {count}")
@@ -258,11 +253,11 @@ def check_counting(max_order: int = 5, *, _table=None) -> CheckResult:
     return _checked("conservation-law counting", failures, ", ".join(counts))
 
 
-def check_independence(max_order: int = 5, *, _table=None) -> CheckResult:
+def check_independence(max_order: int = 5) -> CheckResult:
     """The 2n+1 basis-word characteristics of each order n admit no
     nontrivial combination vanishing on the exponential solution family."""
     failures = []
-    words = _once(_table, _word_images, max_order, keep=False)
+    words = _word_images(max_order)
     for n in range(max_order + 1):
         r = independence_rank(words[n * n:(n + 1) ** 2])
         if r != 2 * n + 1:
@@ -325,11 +320,11 @@ def check_parser_round_trip() -> CheckResult:
 
 def run_all(max_order: int = 5):
     """Run the full verification suite in its fixed order. Its checks build
-    each minimal current, Ctilde current and word image once, and share
-    them through a table that lives for this call only."""
+    each minimal current once, and share them through a table that lives
+    for this call only."""
     table = {}
     return [
-        check_dimension_tables(max_order, _table=table),
+        check_dimension_tables(max_order),
         check_adjoint_parity(),
         check_centrality(),
         check_structure_constants(),
@@ -338,6 +333,6 @@ def run_all(max_order: int = 5):
         check_conservation(_table=table),
         check_generating_action(_table=table),
         check_counting(max_order if max_order >= 2 else 2, _table=table),
-        check_independence(max_order, _table=table),
+        check_independence(max_order),
         check_parser_round_trip(),
     ]

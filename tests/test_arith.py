@@ -8,7 +8,7 @@ import pytest
 from kgsym.arith import (RationalMatrix, XYPoly, accumulate, as_rational,
                          flat, from_terms, grouped, mul_terms, nullspace,
                          poly_coefficient, rank, scale_terms)
-from kgsym.jet import FreeJetPoly, ReducedJetPoly
+from kgsym.jet import FreeJetPoly, ReducedJetPoly, lift
 from kgsym.opalg import TDOperator
 from kgsym.parser import parse_operator
 from kgsym.verify import random_operator, random_reduced_jet, random_xypoly
@@ -161,6 +161,22 @@ def test_int_and_fraction_coefficients_are_interchangeable(make):
         if isinstance(a, ReducedJetPoly):
             for var in "xy":
                 assert fa.total_derivative(var) == a.total_derivative(var)
+
+
+def _random_free_jet(rng):
+    return lift(random_reduced_jet(rng, fields=("u",)))
+
+
+@pytest.mark.parametrize("make", [random_xypoly, random_operator,
+                                  random_reduced_jet, _random_free_jet])
+def test_negation_is_scaling_by_minus_one(make):
+    rng = random.Random(305)
+    for _ in range(2000):
+        value = make(rng)
+        negated, scaled = -value, value * -1
+        assert negated == scaled
+        assert (list(map(repr, _rationals(negated)))
+                == list(map(repr, _rationals(scaled))))
 
 
 def test_integral_values_are_stored_as_int():

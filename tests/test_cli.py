@@ -286,7 +286,7 @@ def _stub_work(monkeypatch):
     monkeypatch.setattr(cli.verify, "run_all", record([]))
     monkeypatch.setattr(cli, "solve_linear_determining",
                         record(SimpleNamespace(dim=0, elements=[])))
-    monkeypatch.setattr(cli, "basis_op", record("op"))
+    monkeypatch.setattr(cli.verify, "basis_op", record("op"))
     monkeypatch.setattr(cli, "current_minimal", record(SimpleNamespace(
         family="C2", t="t", x="x", order=0, characteristic=None)))
     return seen
@@ -495,6 +495,16 @@ def test_current_C0_rejects_trailing_words(capsys, rest):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: ") and "barred" in err
+
+
+@pytest.mark.parametrize("rest, message", [
+    (["Ctilde"], "current Ctilde needs one operator expression"),
+    (["Ctilde", "Dx", "Dy"], "current Ctilde needs one operator expression"),
+    (["C2", "1"], "current C2 needs KP and LP")])
+def test_current_arity_errors(capsys, rest, message):
+    code, out, err = run_cli(capsys, "current", *rest)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_closed_stdout_exits_without_traceback():

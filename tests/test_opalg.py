@@ -10,7 +10,8 @@ from kgsym.arith import XYPoly
 from kgsym.opalg import (TDOperator, basis_op, basis_shapes, commutator,
                          kg_operator, monomial_op, monomial_product,
                          skew_self_split)
-from kgsym.verify import random_operator
+from kgsym.jet import ReducedJetPoly
+from kgsym.verify import random_operator, random_rational, random_xypoly
 
 X = XYPoly.variable("x")
 Y = XYPoly.variable("y")
@@ -187,6 +188,22 @@ def test_scale_rejects_floats_and_strings(value):
     # binary fraction.
     with pytest.raises(TypeError):
         DX.scale(value)
+
+
+def test_products_by_scalars_and_polynomials():
+    rng = random.Random(505)
+    for _ in range(200):
+        op, poly = random_operator(rng), random_xypoly(rng)
+        c = random_rational(rng)
+        expected = TDOperator.mul_by(poly).compose(op)
+        assert op.left_mul_poly(poly) == expected
+        assert poly * op == expected
+        assert c * op == op * c == op.scale(c)
+    for value in (0.5, "Dx", ReducedJetPoly.var("u", 0)):
+        with pytest.raises(TypeError):
+            value * DX
+        with pytest.raises(TypeError):
+            DX * value
 
 
 def _word_by_composition(side, k, l, shift):

@@ -1,5 +1,6 @@
-"""Failure paths of the verification checks that run over basis words or
-over the minimal currents, and the work one run_all call shares.
+"""Failure paths of the verification checks, each forced through a name
+that kgsym.verify imports and named in the check's detail, and the work one
+run_all call shares.
 
 Each check takes its words from kgsym.opalg.basis_op through one helper, so
 a wrong operator for one shape must make the check fail and name it.
@@ -11,10 +12,13 @@ import pytest
 
 from kgsym import verify
 from kgsym.arith import XYPoly
-from kgsym.noether import current_Ctilde, current_minimal
+from kgsym.jet import ReducedJetPoly, reduced_J
+from kgsym.noether import (current_C0, current_Ctilde, current_minimal,
+                           is_cl_characteristic, minimal_family_members)
 from kgsym.opalg import TDOperator, basis_op
-from kgsym.parser import parse_jet
-from kgsym.symmetry import DeterminingSystem, solve_linear_determining
+from kgsym.parser import parse_jet, parse_operator
+from kgsym.symmetry import (DeterminingSystem, chain_rows, reduced_bracket,
+                            solve_linear_determining)
 
 
 def _patched(monkeypatch, wrong):
@@ -81,6 +85,123 @@ def test_extra_kernel_vector_breaks_saturation(monkeypatch):
     assert "saturation(0): 2!=1" in result.detail.split("; ")
 
 
+def test_graded_dimension_is_named(monkeypatch):
+    # One of the three rows of chain index 2 relabelled to index 1: the
+    # order-1 layer loses an element to the degree saturation of order 0.
+    def patched(basis):
+        rows = chain_rows(basis)
+        first = next(i for i, (m, _) in enumerate(rows) if m == 2)
+        rows[first] = (1, rows[first][1])
+        return rows
+    monkeypatch.setattr(verify, "chain_rows", patched)
+    result = verify.check_dimension_tables(max_order=1)
+    assert not result.passed
+    assert result.detail == "saturation(0): 2!=1; graded(1)=2!=3"
+
+
+_U0 = ReducedJetPoly.var("u", 0)
+_E = {"e0": _U0, "e1": -ReducedJetPoly.var("u", 1),
+      "e2": -ReducedJetPoly.var("u", -1), "e3": -reduced_J(_U0)}
+
+
+@pytest.mark.parametrize("pair, detail", [
+    (("e1", "e2"), "[e1,e2]!=0"), (("e1", "e3"), "[e1,e3]!=e1"),
+    (("e2", "e3"), "[e2,e3]!=-e2"), (("e0", "e3"), "[e0,e3]!=0")])
+def test_structure_constant_relation_is_named(monkeypatch, pair, detail):
+    wrong = tuple(_E[name] for name in pair)
+
+    def patched(a, b):
+        bracket = reduced_bracket(a, b)
+        return bracket + _U0 if (a, b) == wrong else bracket
+    monkeypatch.setattr(verify, "reduced_bracket", patched)
+    result = verify.check_structure_constants()
+    assert not result.passed
+    assert result.detail == detail
+
+
+def test_reduced_lift_names_a_failing_J3(monkeypatch):
+    monkeypatch.setattr(verify, "is_variational_linear", lambda op: False)
+    result = verify.check_reduced_lift_remark()
+    assert not result.passed
+    assert result.detail == "J^3 fails the variational criterion"
+
+
+def test_reduced_lift_names_a_wrong_difference(monkeypatch):
+    # J^3 + 1 fails the variational criterion, as the re-lift should, but
+    # differs from J^3 by 1.
+    wrong = basis_op("Q", 3, 0) + TDOperator.identity()
+    monkeypatch.setattr(verify, "lift_linear_characteristic",
+                        lambda eta: wrong)
+    result = verify.check_reduced_lift_remark()
+    assert not result.passed
+    assert result.detail == "difference is not 3xy*J*(DxDy - 1)"
+
+
+def test_conservation_names_a_wrong_order(monkeypatch):
+    def patched(family, kp, lp):
+        if (family, kp, lp) == ("C2", 1, 0):
+            kp = 0
+        return current_minimal(family, kp, lp)
+    monkeypatch.setattr(verify, "current_minimal", patched)
+    result = verify.check_conservation()
+    assert not result.passed
+    assert result.detail == "C2[1,0]: order 1 != 2"
+
+
+def test_conservation_names_a_failed_euler_test(monkeypatch):
+    wrong = current_minimal("C2", 1, 0).characteristic
+    monkeypatch.setattr(verify, "is_cl_characteristic",
+                        lambda eta: eta != wrong and is_cl_characteristic(eta))
+    result = verify.check_conservation()
+    assert not result.passed
+    assert result.detail == "C2[1,0]: characteristic fails the Euler test"
+
+
+def test_generating_action_names_a_wrong_uniform_current(monkeypatch):
+    def patched(op):
+        if op == basis_op("Q", 0, 1):
+            op = op.scale(2)
+        return current_Ctilde(op)
+    monkeypatch.setattr(verify, "current_Ctilde", patched)
+    result = verify.check_generating_action()
+    assert not result.passed
+    assert result.detail == "Ctilde action mismatch for Q[0,1]"
+
+
+def test_generating_action_names_a_wrong_barred_current(monkeypatch):
+    monkeypatch.setattr(verify, "current_C0",
+                        lambda barred=False: current_C0())
+    result = verify.check_generating_action()
+    assert not result.passed
+    assert result.detail == ("superposition action does not give the "
+                             "barred current")
+
+
+def test_counting_names_a_missing_member(monkeypatch):
+    monkeypatch.setattr(verify, "minimal_family_members",
+                        lambda n: minimal_family_members(n)[1:])
+    result = verify.check_counting(max_order=2)
+    assert not result.passed
+    assert result.detail == "count(2)=6!=7; rank(2)=6!=7"
+
+
+@pytest.mark.parametrize("name, parse, wrong, detail", [
+    ("parse_operator", parse_operator, "Dx", "operator #0: 0"),
+    ("parse_jet", parse_jet, "u[0]", "jet #0: 1/2*y^2*f[3] - 1/2*x*u[0]")])
+def test_parser_round_trip_names_the_first_mismatch(monkeypatch, name, parse,
+                                                    wrong, detail):
+    # The first of the 1000 seeded values of the kind parses to wrong.
+    calls = []
+
+    def patched(text):
+        calls.append(text)
+        return parse(wrong if len(calls) == 1 else text)
+    monkeypatch.setattr(verify, name, patched)
+    result = verify.check_parser_round_trip()
+    assert not result.passed
+    assert result.detail == detail
+
+
 @pytest.fixture
 def cold_solver_cache():
     solve_linear_determining.cache_clear()
@@ -120,9 +241,6 @@ def test_run_all_builds_each_uniform_current_once(monkeypatch):
         return current_Ctilde(op)
     monkeypatch.setattr(verify, "current_Ctilde", counted_Ctilde)
     results = verify.run_all(2)
-    # conservation builds the 3 + 7 + 11 words of orders 1, 3 and 5; the
-    # generating action reads the ten of orders 1 and 3 from the table.
-    assert len(built) == len(set(built)) == 21
     by_name = {r.name: r for r in results}
     assert by_name["conservation"].detail == "59 currents verified"
     assert by_name["generating conservation law"].passed
