@@ -200,10 +200,7 @@ class TermMap:
 
     @classmethod
     def terms_of(cls, value):
-        """The term map of value read as a value of cls: its terms when it
-        is one, the constant monomial of a scalar, else None."""
-        if isinstance(value, cls):
-            return value.terms
+        """The term map of a scalar read as a value of cls, else None."""
         key = cls._constant_key
         if key is None:
             return None
@@ -215,7 +212,7 @@ class TermMap:
 
     def _plus(self, other, sign=1):
         """self + sign * other, for sign 1 or -1, as a value of self's
-        class; NotImplemented unless terms_of takes other."""
+        class; NotImplemented unless other is one or terms_of takes it."""
         if type(other) is type(self):
             terms = other.terms
         else:
@@ -382,14 +379,6 @@ class RationalMatrix:
         rows = len(entries)
         cols = len(entries[0]) if entries else 0
         return cls(rows, cols, entries)
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols})"
 
 
 def _primitive(row):

@@ -307,9 +307,7 @@ def prolonged_action(eta: ReducedJetPoly, p: ReducedJetPoly) -> ReducedJetPoly:
     for (name, k) in sorted(p.jet_variables()):
         if name != "u":
             continue
-        dp = p.partial("u", k)
-        if dp:
-            result = result + dp * iterated_derivative(eta, k)
+        result = result + p.partial("u", k) * iterated_derivative(eta, k)
     return result
 
 

@@ -37,12 +37,12 @@ def _integer_multiple(value):
 
 def is_variational_linear(a: TDOperator) -> bool:
     """True iff adjoint(a) o L + adjoint(L) o a is the zero operator, where
-    L = Dx*Dy - 1 is the (formally self-adjoint) equation operator. The
-    answer is the same for every nonzero multiple of a, so the test runs on
-    the integer one."""
+    L = Dx*Dy - 1 is the equation operator; L is formally self-adjoint, so
+    the second product is L o a. The answer is the same for every nonzero
+    multiple of a, so the test runs on the integer one."""
     a = _integer_multiple(a)
     kg = kg_operator()
-    return (a.adjoint().compose(kg) + kg.adjoint().compose(a)).is_zero()
+    return (a.adjoint().compose(kg) + kg.compose(a)).is_zero()
 
 
 def _component_order(t: ReducedJetPoly, x: ReducedJetPoly) -> int:

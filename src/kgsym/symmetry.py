@@ -5,7 +5,6 @@ reduced Lie bracket, and the exponential-family independence test."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
 
 from .arith import echelon, flat, grouped, sparse_kernel, terms_rank
 from .jet import (ReducedJetPoly, eval_exp_family, prolonged_action,
@@ -79,11 +78,10 @@ class DeterminingSystem:
                              elements=elements)
 
 
-@lru_cache(maxsize=None)
 def solve_linear_determining(n: int, d: int) -> SymmetryBasis:
     """Solve the determining system for characteristics linear in the jets,
-    with polynomial coefficients of total degree at most d. The basis is
-    solved and checked once per (n, d)."""
+    with polynomial coefficients of total degree at most d; every element
+    of the basis is checked against the symmetry criterion."""
     if d < n:
         raise ValueError("degree bound below the order cannot represent "
                          "the known solutions; need d >= n")

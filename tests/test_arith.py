@@ -123,6 +123,26 @@ def test_matrix_dimension_validation():
         RationalMatrix(2, 2, [[1, 2]])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: XYPoly.variable("z"), "unknown variable 'z'; only x and y exist"),
+    (lambda: XYPoly.variable("x").diff("z"), "unknown variable 'z'"),
+    (lambda: XYPoly.variable("x").constant_value(),
+     "not a constant polynomial: x"),
+    (lambda: XYPoly.variable("x") ** -1,
+     "exponent must be a nonnegative integer"),
+], ids=["variable", "diff", "constant_value", "negative_power"])
+def test_xypoly_argument_errors(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_int_subclass_coefficient_is_stored_as_int():
+    p = XYPoly({(0, 0): True})
+    assert p.terms == {(0, 0): 1}
+    assert type(p.terms[0, 0]) is int
+
+
 def _with_fractions(value):
     """value with every rational coefficient held as a Fraction, built
     past the constructors, which store the integral ones as int."""

@@ -507,6 +507,13 @@ def test_current_arity_errors(capsys, rest, message):
     assert err == f"error: {message}\n"
 
 
+def test_current_unknown_family_exits_2():
+    proc = run_module("kgsym", "current", "C3", "0", "0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument family: invalid choice: 'C3'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_closed_stdout_exits_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)          # no reader is left when the report is written

@@ -162,6 +162,17 @@ def test_eval_exp_family_examples():
     assert eval_exp_family(u(2)) == {(0, 0, 2): 1}
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: u(0).total_derivative("z"), "unknown variable 'z'"),
+    (lambda: uf(0, 0).total_derivative("z"), "unknown variable 'z'"),
+    (lambda: FreeJetPoly.var(-1, 0), "derivative orders must be nonnegative"),
+], ids=["reduced_total_derivative", "free_total_derivative", "free_var"])
+def test_jet_argument_errors(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_eval_exp_family_rejects_mixed_fields():
     mixed = u(0) + ReducedJetPoly.var("f", 0)
     with pytest.raises(ValueError):

@@ -163,6 +163,16 @@ def test_current_minimal_rejects_C1_without_derivative():
         current_minimal("C1", 1, 0)
 
 
+@pytest.mark.parametrize("family, kp, lp, message", [
+    ("C2", -1, 0, "orders must be nonnegative"),
+    ("C9", 0, 0, "unknown minimal-current family 'C9'"),
+])
+def test_current_minimal_argument_errors(family, kp, lp, message):
+    with pytest.raises(ValueError) as excinfo:
+        current_minimal(family, kp, lp)
+    assert str(excinfo.value) == message
+
+
 def test_current_minimal_orders():
     for total in range(4):
         for kp in range(total + 1):

@@ -90,6 +90,12 @@ def test_basis_op_rejects_qbar_without_derivative():
         basis_op("Qbar", 2, 0)
 
 
+def test_basis_op_rejects_unknown_kind():
+    with pytest.raises(ValueError) as excinfo:
+        basis_op("Z", 1, 0)
+    assert str(excinfo.value) == "unknown basis kind 'Z'"
+
+
 def test_basis_shapes_order():
     assert basis_shapes(0) == [("Q", 0, 0)]
     assert basis_shapes(2) == [("Q", 2, 0), ("Q", 0, 2), ("Q", 1, 1),

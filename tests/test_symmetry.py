@@ -298,6 +298,19 @@ def test_symmetry_basis_rejects_non_symmetry():
         SymmetryBasis(0, 1, (u(1), u(0) * X))
 
 
+def test_determining_system_rejects_negative_bounds():
+    with pytest.raises(ValueError) as excinfo:
+        DeterminingSystem.assemble(-1, 0)
+    assert str(excinfo.value) == "order and degree must be nonnegative"
+
+
+def test_independence_rank_rejects_nonlinear_characteristics():
+    with pytest.raises(ValueError) as excinfo:
+        independence_rank([u(0) * u(1)])
+    assert str(excinfo.value) == ("independence test expects characteristics "
+                                  "linear in the jets")
+
+
 def test_determining_system_construction():
     assembled = DeterminingSystem.assemble(0, 1)
     system = DeterminingSystem(0, 1, assembled.unknowns, assembled.images)
@@ -347,14 +360,7 @@ def test_graded_dimension_matches_separate_solves(n):
             solve_linear_determining(n, d).dim - below)
 
 
-@pytest.fixture
-def cold_solver_cache():
-    solve_linear_determining.cache_clear()
-    yield
-    solve_linear_determining.cache_clear()
-
-
-def test_dimension_table_solves_once(monkeypatch, cold_solver_cache):
+def test_dimension_table_solves_once(monkeypatch):
     calls = {"assemble": [], "graded": 0}
     assemble = DeterminingSystem.assemble
 

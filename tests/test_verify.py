@@ -202,15 +202,7 @@ def test_parser_round_trip_names_the_first_mismatch(monkeypatch, name, parse,
     assert result.detail == detail
 
 
-@pytest.fixture
-def cold_solver_cache():
-    solve_linear_determining.cache_clear()
-    yield
-    solve_linear_determining.cache_clear()
-
-
-def test_run_all_solves_once_and_builds_each_current_once(monkeypatch,
-                                                          cold_solver_cache):
+def test_run_all_solves_once_and_builds_each_current_once(monkeypatch):
     assembled, built = [], []
     assemble = DeterminingSystem.assemble
 
@@ -275,3 +267,12 @@ def test_check_result_record_contract():
         with pytest.raises(AttributeError):
             setattr(result, name, None)
     assert result.line() == "PASS  a: b"
+
+
+def test_check_result_fields_cannot_be_deleted():
+    result = verify.CheckResult("a", True, "b")
+    for name in ("name", "passed", "detail"):
+        with pytest.raises(AttributeError) as excinfo:
+            delattr(result, name)
+        assert str(excinfo.value) == f"cannot delete field {name!r}"
+    assert result == verify.CheckResult("a", True, "b")
