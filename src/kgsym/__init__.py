@@ -2,7 +2,7 @@
 symmetries and local conservation laws of the light-cone Klein-Gordon
 equation u_xy = u. All arithmetic is exact rational."""
 
-from .arith import Rational, XYPoly
+from .arith import XYPoly
 from .jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
                   apply_operator_reduced, eval_exp_family, euler_operator,
                   iterated_derivative, lift, onshell_divergence, reduce,

@@ -13,14 +13,14 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
-# Rational scalars are exact: an int when the value is integral, else a
+# Scalars are exact rationals: an int when the value is integral, else a
 # Fraction (lowest terms, denominator positive). Every rational coefficient
 # of a term map, RationalMatrix cell and kernel entry is int | Fraction in
 # this form. int arithmetic is much cheaper, and the two forms of one value
 # are interchangeable: 3 == Fraction(3), hash(3) == hash(Fraction(3)) and
 # str(3) == str(Fraction(3)).
-Rational = Fraction
 
 
 def _integral(c):
@@ -141,8 +141,12 @@ def pair_shown(names):
                                      monomial_str(zip(names, key))))
 
 
-def int_key(key):
-    return tuple(map(int, key))
+def exponent_pair(key):
+    """key with each exponent, a nonnegative integral rational, as an int."""
+    i, j = key = tuple(map(index, map(as_rational, key)))
+    if i < 0 or j < 0:
+        raise ValueError(f"negative exponent in {key}")
+    return key
 
 
 def from_terms(cls, terms):
@@ -270,7 +274,7 @@ class XYPoly(TermMap):
     __slots__ = ()
 
     _coerce = staticmethod(as_rational)
-    _normalize_key = staticmethod(int_key)
+    _normalize_key = staticmethod(exponent_pair)
     _constant_key = (0, 0)
     _shown = pair_shown("xy")
     _prefixed = staticmethod(scalar_prefixed)

@@ -1,11 +1,11 @@
 """Command-line front end: dispatch, text/JSON reports, verification suite.
 
-Exit codes: 0 on success, 1 when `verify-all` finds a failing check or
-when stdout is closed before the report is written (a broken pipe; no
-traceback is printed), 2 for usage errors, malformed expressions,
-violated preconditions and an --out file that cannot be written. All numbers
-in JSON payloads are decimal strings, since exact rationals overflow native
-JSON numbers.
+Exit codes: 0 on success, 1 when a verified flag of the report is false
+(`verify-all` found a failing check) or when stdout is closed before the
+report is written (a broken pipe; no traceback is printed), 2 for usage
+errors, malformed expressions, violated preconditions and an --out file
+that cannot be written. All numbers in JSON payloads are decimal strings,
+since exact rationals overflow native JSON numbers.
 """
 
 from __future__ import annotations
@@ -20,34 +20,32 @@ from .noether import (CURRENT_FAMILIES, current_C0, current_Ctilde,
                       current_minimal, is_variational_linear)
 from .opalg import commutator
 from .parser import parse_jet, parse_operator
+from .record import Record
 from .symmetry import (dimension_table, is_generalized_symmetry,
                        reduced_bracket, solve_linear_determining)
 
 
-class Report:
+class Report(Record):
     """Deterministic result payload; rendered as text or JSON. verified maps
-    names to bools and defaults to a new empty dict."""
-    __slots__ = ("command", "arguments", "result", "verified", "exit_code")
+    names to bools and defaults to a new empty dict; the exit code is 1 when
+    one of them is false, else 0."""
+    __slots__ = ("command", "arguments", "result", "verified")
 
     def __init__(self, command: str, arguments: dict, result: dict,
-                 verified: dict | None = None, exit_code: int = 0):
-        self.command = command
-        self.arguments = arguments
-        self.result = result
-        self.verified = {} if verified is None else verified
-        self.exit_code = exit_code
+                 verified: dict | None = None):
+        self._init(command, arguments, result,
+                   {} if verified is None else verified)
 
-    def to_payload(self) -> dict:
-        return {
-            "command": self.command,
-            "arguments": self.arguments,
-            "exact_rational_arithmetic": True,
-            "result": self.result,
-            "verified": self.verified,
-        }
+    @property
+    def exit_code(self) -> int:
+        return 0 if all(self.verified.values()) else 1
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2)
+        return json.dumps({"command": self.command,
+                           "arguments": self.arguments,
+                           "exact_rational_arithmetic": True,
+                           "result": self.result, "verified": self.verified},
+                          indent=2)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -242,8 +240,7 @@ def _cmd_verify_all(args: dict) -> Report:
                 "checks": [{"name": r.name, "passed": r.passed,
                             "detail": r.detail} for r in results],
                 "all_passed": all_passed},
-        verified={"all_passed": all_passed},
-        exit_code=0 if all_passed else 1)
+        verified={"all_passed": all_passed})
 
 
 class UsageError(ValueError):

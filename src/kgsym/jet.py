@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
+from operator import index
 
 from .arith import (TermMap, XYPoly, accumulate, common_denominator,
                     from_terms, grouped, monomial_str, mul_terms, neg_terms,
@@ -174,7 +175,7 @@ class ReducedJetPoly(_JetPoly):
     @classmethod
     def var(cls, field: str, k: int) -> "ReducedJetPoly":
         """The single jet coordinate w_k of the field named field."""
-        return cls({((field, int(k)),): XYPoly.one()})
+        return cls({((field, index(k)),): XYPoly.one()})
 
     def fields(self):
         return {name for mono in self.terms for name, _ in mono}
@@ -193,7 +194,7 @@ class ReducedJetPoly(_JetPoly):
 
     def partial(self, field: str, k: int) -> "ReducedJetPoly":
         """Partial derivative with respect to the jet variable (field, k)."""
-        return _partial(self, (field, int(k)))
+        return _partial(self, (field, index(k)))
 
     def total_derivative(self, var: str) -> "ReducedJetPoly":
         """Reduced total derivative: coefficient derivative plus the index
@@ -248,10 +249,10 @@ class FreeJetPoly(_JetPoly):
         """The coordinate u_(a,b) = d^a/dx^a d^b/dy^b u."""
         if a < 0 or b < 0:
             raise ValueError("derivative orders must be nonnegative")
-        return cls({((int(a), int(b)),): XYPoly.one()})
+        return cls({((index(a), index(b)),): XYPoly.one()})
 
     def partial(self, a: int, b: int) -> "FreeJetPoly":
-        return _partial(self, (int(a), int(b)))
+        return _partial(self, (index(a), index(b)))
 
     def total_derivative(self, var: str) -> "FreeJetPoly":
         """Full off-shell total derivative; no substitution happens here."""

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import (TermMap, XYPoly, accumulate, as_rational, flat,
-                    from_terms, grouped, int_key, neg_terms, pair_shown,
+from .arith import (TermMap, XYPoly, accumulate, as_rational, exponent_pair,
+                    flat, from_terms, grouped, neg_terms, pair_shown,
                     poly_coefficient, power, scalar_prefixed, scale_terms)
 
 _X = XYPoly.variable("x")
@@ -58,7 +58,7 @@ class TDOperator(TermMap):
     __slots__ = ()
 
     _coerce = staticmethod(poly_coefficient)
-    _normalize_key = staticmethod(int_key)
+    _normalize_key = staticmethod(exponent_pair)
     _shown = pair_shown(("Dx", "Dy"))
 
     @staticmethod

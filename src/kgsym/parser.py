@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import opalg
-from .arith import accumulate, as_rational, grouped
+from .arith import accumulate, as_rational, grouped, neg_terms
 from .jet import ReducedJetPoly
 from .opalg import TDOperator
 
@@ -172,8 +172,8 @@ class _Parser:
         while (op := tokens[self.pos][0]) in ("+", "-"):
             self.pos += 1
             right = self.factor()
-            accumulate(terms, right.items() if op == "+" else
-                       ((key, -c) for key, c in right.items()))
+            accumulate(terms, (right if op == "+" else
+                               neg_terms(right)).items())
         return terms
 
     def factor(self):
@@ -191,7 +191,7 @@ class _Parser:
             self.pos += 1
             negative ^= op == "-"
         terms = self.power()
-        return {key: -c for key, c in terms.items()} if negative else terms
+        return neg_terms(terms) if negative else terms
 
     def power(self):
         terms = self.primary()

@@ -35,7 +35,7 @@ class SymmetryBasis(Record):
         return len(self.elements)
 
 
-class DeterminingSystem:
+class DeterminingSystem(Record):
     """The linear system on the coefficient functions of a characteristic
     sum_k eta^k(x, y) u_k with |k| <= order and deg eta^k <= degree.
 
@@ -47,10 +47,7 @@ class DeterminingSystem:
 
     def __init__(self, order: int, degree: int, unknowns: list,
                  images: list):
-        self.order = order
-        self.degree = degree
-        self.unknowns = unknowns
-        self.images = images
+        self._init(order, degree, unknowns, images)
 
     @classmethod
     def assemble(cls, order: int, degree: int) -> "DeterminingSystem":

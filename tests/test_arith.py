@@ -137,6 +137,44 @@ def test_xypoly_argument_errors(call, message):
     assert str(excinfo.value) == message
 
 
+_NOT_INT = "'{}' object cannot be interpreted as an integer"
+_NOT_RATIONAL = "expected int or Fraction, got {}"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: XYPoly({(1.5, 0): 1}), TypeError, _NOT_RATIONAL.format("float")),
+    (lambda: XYPoly({("1", 0): 1}), TypeError, _NOT_RATIONAL.format("str")),
+    (lambda: XYPoly({(Fraction(3, 2), 0): 1}), TypeError,
+     _NOT_INT.format("Fraction")),
+    (lambda: XYPoly({(-1, 0): 1}), ValueError, "negative exponent in (-1, 0)"),
+    (lambda: TDOperator({(-1, 0): XYPoly.one()}), ValueError,
+     "negative exponent in (-1, 0)"),
+    (lambda: TDOperator({(0, 2.0): XYPoly.one()}), TypeError,
+     _NOT_RATIONAL.format("float")),
+    (lambda: ReducedJetPoly.var("u", 2.7), TypeError,
+     _NOT_INT.format("float")),
+    (lambda: ReducedJetPoly.var("u", 0).partial("u", 0.0), TypeError,
+     _NOT_INT.format("float")),
+    (lambda: FreeJetPoly.var(1.9, 0), TypeError, _NOT_INT.format("float")),
+    (lambda: FreeJetPoly.var(0, 0).partial(0, Fraction(0)), TypeError,
+     _NOT_INT.format("Fraction")),
+], ids=["xy_float", "xy_str", "xy_fraction", "xy_negative", "op_negative",
+        "op_float", "reduced_var", "reduced_partial", "free_var",
+        "free_partial"])
+def test_exponent_keys_are_checked_not_truncated(call, error, message):
+    # int() would truncate 1.5 to x and 2.7 to u[2], and keep -1, which
+    # prints x^-1 and Dx^-1: texts that parse_operator rejects.
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+def test_integral_rational_exponents_are_stored_as_int():
+    # Either form of an integral rational is an exponent, as for scalars.
+    p = XYPoly({(Fraction(1), True): 1})
+    assert p == X * Y and [type(e) for e in next(iter(p.terms))] == [int, int]
+
+
 def test_int_subclass_coefficient_is_stored_as_int():
     p = XYPoly({(0, 0): True})
     assert p.terms == {(0, 0): 1}

@@ -1,7 +1,9 @@
 """CLI tests: dispatch, report formats, exit codes, JSON round trips."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -556,9 +558,33 @@ def test_report_construction():
         assert report.verified == {} and report.exit_code == 0
         assert report.to_text() == "command: dims\n  max_order: 0\nu[0]"
     assert by_position.verified is not by_keyword.verified
-    failed = cli.Report("verify-all", {}, {}, {"all_passed": False}, 1)
+    failed = cli.Report("verify-all", {}, {}, {"all_passed": False})
     assert failed.exit_code == 1
     assert failed.to_text() == "command: verify-all\nall_passed: false"
+    # Report is a Record: a frozen value, equal by fields, rebuilt through
+    # __init__ by copy and pickle; its dict fields make it unhashable.
+    assert by_position == by_keyword and by_position != failed
+    assert repr(failed) == ("Report(command='verify-all', arguments={}, "
+                            "result={}, verified={'all_passed': False})")
+    for name in ("command", "arguments", "result", "verified", "exit_code"):
+        with pytest.raises(AttributeError):
+            setattr(failed, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(failed, name)
+    for clone in (copy.copy(failed), copy.deepcopy(failed),
+                  pickle.loads(pickle.dumps(failed))):
+        assert clone == failed and clone.exit_code == 1
+    with pytest.raises(TypeError):
+        hash(failed)
+
+
+def test_report_exit_code_follows_the_verified_flags():
+    assert cli.Report("dims", {}, {}).exit_code == 0
+    assert cli.Report("current", {}, {}, {"a": True, "b": True}).exit_code == 0
+    mixed = cli.Report("current", {}, {}, {"a": True, "b": False, "c": True})
+    assert mixed.exit_code == 1
+    with pytest.raises(TypeError):
+        cli.Report("verify-all", {}, {}, {"all_passed": False}, 1)
 
 
 _MODULES = "import sys; print(' '.join(sorted(sys.modules)))"

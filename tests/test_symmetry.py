@@ -1,5 +1,7 @@
 """Tests for the symmetry criterion, the determining solver and the bracket."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -322,6 +324,25 @@ def test_determining_system_construction():
         assert s.unknowns == [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
         assert s.images == [{}, {(1, 0, 0): 1}, {(-1, 0, 0): 1}]
         assert s.solve() == solve_linear_determining(0, 1)
+    # DeterminingSystem is a Record: a frozen value, equal by fields,
+    # rebuilt through __init__ by copy and pickle; its list fields make it
+    # unhashable.
+    assert assembled == system == by_keyword
+    assert assembled != DeterminingSystem.assemble(0, 2)
+    assert repr(assembled) == (
+        "DeterminingSystem(order=0, degree=1, "
+        "unknowns=[(0, 0, 0), (0, 0, 1), (0, 1, 0)], "
+        "images=[{}, {(1, 0, 0): 1}, {(-1, 0, 0): 1}])")
+    for name in ("order", "degree", "unknowns", "images"):
+        with pytest.raises(AttributeError):
+            setattr(assembled, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(assembled, name)
+    for clone in (copy.copy(assembled), copy.deepcopy(assembled),
+                  pickle.loads(pickle.dumps(assembled))):
+        assert clone == assembled
+    with pytest.raises(TypeError):
+        hash(assembled)
 
 
 @pytest.mark.parametrize("max_order", range(9))

@@ -177,6 +177,13 @@ def test_generating_action_names_a_wrong_barred_current(monkeypatch):
                              "barred current")
 
 
+def test_counting_checks_order_two_below_it():
+    # The check owns its lower bound: max_order 0 or 1 still counts n = 2.
+    for max_order in (0, 1):
+        result = verify.check_counting(max_order=max_order)
+        assert result.passed and result.detail == "n=2: 7"
+
+
 def test_counting_names_a_missing_member(monkeypatch):
     monkeypatch.setattr(verify, "minimal_family_members",
                         lambda n: minimal_family_members(n)[1:])
