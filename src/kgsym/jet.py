@@ -22,6 +22,8 @@ from .arith import (TermMap, XYPoly, accumulate, common_denominator,
                     poly_coefficient, power, scalar_prefixed, scale_terms)
 from .opalg import TDOperator
 
+FIELDS = ("u", "f")    # f: the symbolic solution of the superposition currents
+
 _X = XYPoly.variable("x")
 _Y = XYPoly.variable("y")
 
@@ -131,14 +133,19 @@ class _JetPoly(TermMap):
     Terms map monomials to nonzero XYPoly coefficients. A monomial is the
     sorted tuple of its jet variables, each repeated as often as its
     exponent says; the empty tuple is the constant monomial, so an XYPoly
-    or a rational is the polynomial holding it there. The ring operations,
-    partial, total_derivative and __str__ are own members of each class."""
+    or a rational is the polynomial holding it there. Each class checks one
+    jet variable in _variable, behind the constructor, var, partial and
+    coefficient. The ring operations, partial, total_derivative and __str__
+    are own members of each class."""
 
     __slots__ = ()
 
     _coerce = staticmethod(poly_coefficient)
-    _normalize_key = staticmethod(lambda mono: tuple(sorted(mono)))
     _constant_key = ()
+
+    @classmethod
+    def _normalize_key(cls, mono):
+        return tuple(sorted(map(cls._variable, mono)))
 
     @staticmethod
     def _prefixed(c, text):
@@ -164,18 +171,29 @@ class _JetPoly(TermMap):
 class ReducedJetPoly(_JetPoly):
     """Differential polynomial in on-shell jet coordinates w_k, k in Z.
 
-    A jet variable is a pair (field, k) of a field name such as "u" or "f"
-    and an index, so u[0]^2*u[1] is the monomial (("u", 0), ("u", 0),
-    ("u", 1)). Several fields may appear; all of them satisfy the same
-    on-shell relation.
+    A jet variable is a pair (field, k) of a field name in FIELDS, "u" or
+    "f", and an integer index, so u[0]^2*u[1] is the monomial (("u", 0),
+    ("u", 0), ("u", 1)). Several fields may appear; all of them satisfy the
+    same on-shell relation.
     """
 
     __slots__ = ()
 
+    @staticmethod
+    def _variable(v):
+        """(field, k) for a field named in FIELDS and an integer k."""
+        field, k = v
+        if not isinstance(field, str):
+            raise TypeError(f"jet field must be a str, got "
+                            f"{type(field).__name__}")
+        if field not in FIELDS:
+            raise ValueError(f"unknown jet field {field!r}")
+        return field, index(k)
+
     @classmethod
     def var(cls, field: str, k: int) -> "ReducedJetPoly":
         """The single jet coordinate w_k of the field named field."""
-        return cls({((field, index(k)),): XYPoly.one()})
+        return cls({((field, k),): XYPoly.one()})
 
     def fields(self):
         return {name for mono in self.terms for name, _ in mono}
@@ -190,11 +208,11 @@ class ReducedJetPoly(_JetPoly):
         return all(len(mono) == 1 for mono in self.terms)
 
     def coefficient(self, mono) -> XYPoly:
-        return self.terms.get(tuple(sorted(mono)), XYPoly.zero())
+        return self.terms.get(self._normalize_key(mono), XYPoly.zero())
 
     def partial(self, field: str, k: int) -> "ReducedJetPoly":
         """Partial derivative with respect to the jet variable (field, k)."""
-        return _partial(self, (field, index(k)))
+        return _partial(self, self._variable((field, k)))
 
     def total_derivative(self, var: str) -> "ReducedJetPoly":
         """Reduced total derivative: coefficient derivative plus the index
@@ -244,15 +262,21 @@ class FreeJetPoly(_JetPoly):
 
     __slots__ = ()
 
+    @staticmethod
+    def _variable(v):
+        """(a, b) for integer derivative orders a, b >= 0."""
+        a, b = map(index, v)
+        if a < 0 or b < 0:
+            raise ValueError("derivative orders must be nonnegative")
+        return a, b
+
     @classmethod
     def var(cls, a: int, b: int) -> "FreeJetPoly":
         """The coordinate u_(a,b) = d^a/dx^a d^b/dy^b u."""
-        if a < 0 or b < 0:
-            raise ValueError("derivative orders must be nonnegative")
-        return cls({((index(a), index(b)),): XYPoly.one()})
+        return cls({((a, b),): XYPoly.one()})
 
     def partial(self, a: int, b: int) -> "FreeJetPoly":
-        return _partial(self, (index(a), index(b)))
+        return _partial(self, self._variable((a, b)))
 
     def total_derivative(self, var: str) -> "FreeJetPoly":
         """Full off-shell total derivative; no substitution happens here."""

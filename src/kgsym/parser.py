@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import opalg
 from .arith import accumulate, as_rational, grouped, neg_terms
-from .jet import ReducedJetPoly
+from .jet import FIELDS, ReducedJetPoly
 from .opalg import TDOperator
 
 
@@ -321,7 +321,7 @@ class _JetParser(_Parser):
     value_type, grammar, one = ReducedJetPoly, "jet", ()
 
     def named_atom(self, name):
-        if name not in ("u", "f"):
+        if name not in FIELDS:
             return None
         self.expect("[")
         sign = 1

@@ -117,16 +117,23 @@ def graded_dimension(n: int, d: int) -> int:
                        for eta in solve_linear_determining(n, d).elements])
 
 
+def chain_dimensions(rows, max_order: int):
+    """(graded, cumulative, saturated) dimension of each order n <= max_order,
+    read off the rows of chain_rows: the dimension of C(2n) = (n, n + 2) less
+    that of C(2n - 1) = (n - 1, n + 2), that of C(2n), and that of
+    C(2n + 1) = (n, n + 3), which the solve must reach for n = max_order."""
+    index = [m for m, _ in rows]
+    return [(bisect_right(index, 2 * n) - bisect_right(index, 2 * n - 1),
+             bisect_right(index, 2 * n), bisect_right(index, 2 * n + 1))
+            for n in range(max_order + 1)]
+
+
 def dimension_table(max_order: int):
-    """(n, graded dimension, cumulative dimension) for n = 0..max_order, each
-    at the degree bound d = n + 2, all read off the one solve
-    (max_order, max_order + 2) = C(2 max_order): the cumulative dimension
-    of order n is that of C(2n) = (n, n + 2), the graded one that less the
-    dimension of C(2n - 1) = (n - 1, n + 2)."""
-    index = [m for m, _ in chain_rows(
-        solve_linear_determining(max_order, max_order + 2))]
-    return [(n, bisect_right(index, 2 * n) - bisect_right(index, 2 * n - 1),
-             bisect_right(index, 2 * n)) for n in range(max_order + 1)]
+    """(n, graded dimension, cumulative dimension) for n = 0..max_order, all
+    read off the one solve (max_order, max_order + 2) = C(2 max_order)."""
+    rows = chain_rows(solve_linear_determining(max_order, max_order + 2))
+    return [(n, graded, cumulative) for n, (graded, cumulative, _)
+            in enumerate(chain_dimensions(rows, max_order))]
 
 
 def reduced_bracket(eta1: ReducedJetPoly, eta2: ReducedJetPoly) -> ReducedJetPoly:

@@ -8,7 +8,6 @@ suite twice produces identical results.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from fractions import Fraction
 
 from .arith import XYPoly, grouped
@@ -21,8 +20,8 @@ from .opalg import (TDOperator, basis_op, basis_shapes, commutator,
                     kg_operator)
 from .parser import parse_jet, parse_operator
 from .record import Record
-from .symmetry import (chain_rows, independence_rank, reduced_bracket,
-                       solve_linear_determining)
+from .symmetry import (chain_dimensions, chain_rows, independence_rank,
+                       reduced_bracket, solve_linear_determining)
 
 ROUND_TRIP_SEED = 20260811
 
@@ -53,18 +52,13 @@ def basis_words(orders, max_index=None):
             if max_index is None or max(k, l) <= max_index]
 
 
-def _minimal(table, family, kp, lp, *, keep=True):
-    """current_minimal(family, kp, lp), made once per table. run_all gives
-    its checks one table, which lives for that call only; a check run on its
-    own has none. The last check to read a current passes keep=False, which
-    takes it out of the table, so that none is held longer than needed."""
-    if table is None:
-        return current_minimal(family, kp, lp)
-    key = (family, kp, lp)
-    value = table.pop(key) if key in table else current_minimal(*key)
-    if keep:
-        table[key] = value
-    return value
+def _minimal(table, family, kp, lp):
+    """current_minimal(family, kp, lp), taken out of run_all's table if
+    check_conservation left it there, else built: a current leaves the
+    table with the last check to read it, so none is held longer."""
+    if table and (family, kp, lp) in table:
+        return table.pop((family, kp, lp))
+    return current_minimal(family, kp, lp)
 
 
 def _word_images(max_order: int):
@@ -80,19 +74,14 @@ def check_dimension_tables(max_order: int = 5) -> CheckResult:
     basis spanning what the basis words of order <= n do: the solved
     elements, the words' images and both together have rank (n+1)^2. On
     characteristics linear in u, independence_rank is the rank of their
-    terms. All is read off the rows of the one solve (max_order,
-    max_order + 3) along the chain C: (n, n + 2) = C(2n) and (n, n + 3) =
-    C(2n + 1)."""
+    terms. All is read off the one solve (max_order, max_order + 3)."""
     failures = []
     rows = chain_rows(solve_linear_determining(max_order, max_order + 3))
-    index = [m for m, _ in rows]
     elements = [grouped(ReducedJetPoly, row) for _, row in rows]
     words = _word_images(max_order)
     summary = []
-    for n in range(max_order + 1):
-        cumulative = bisect_right(index, 2 * n)
-        graded = cumulative - bisect_right(index, 2 * n - 1)
-        saturated = bisect_right(index, 2 * n + 1)
+    for n, (graded, cumulative, saturated) in enumerate(
+            chain_dimensions(rows, max_order)):
         summary.append(f"n={n}: {graded}/{cumulative}")
         size = (n + 1) ** 2
         if graded != 2 * n + 1:
@@ -188,7 +177,8 @@ def check_conservation(*, _table=None) -> CheckResult:
     """Every constructed current has the stated order and its single-field
     characteristic passes the Euler test. ConservedCurrent itself checks the
     on-shell divergence and the components' order, so Ctilde, whose order is
-    read off its components, has no order to compare here."""
+    read off its components, has no order to compare here. Each minimal
+    current it builds stays in run_all's table for the checks after it."""
     def constructed():
         yield "C0", current_C0(), 1
         yield "C0bar", current_C0(barred=True), 1
@@ -196,7 +186,9 @@ def check_conservation(*, _table=None) -> CheckResult:
             yield f"Ctilde({label})", current_Ctilde(op), None
         for n in range(1, 5):
             for family, kp, lp in minimal_family_members(n):
-                current = _minimal(_table, family, kp, lp)
+                current = current_minimal(family, kp, lp)
+                if _table is not None:
+                    _table[family, kp, lp] = current
                 yield f"{family}[{kp},{lp}]", current, n
 
     failures = []
@@ -215,7 +207,7 @@ def check_generating_action(*, _table=None) -> CheckResult:
     currents of the skew basis operators with k + l <= 3 and the barred
     superposition current componentwise."""
     failures = []
-    generating = _minimal(_table, "C2", 0, 0, keep=False)
+    generating = _minimal(_table, "C2", 0, 0)
     half = Fraction(1, 2)
     for label, _, op in basis_words((1, 3)):
         eta = apply_operator_reduced(op).total_derivative("y") * half
@@ -241,7 +233,7 @@ def check_counting(max_order: int = 5, *, _table=None) -> CheckResult:
     counts = []
     for n in range(2, max(max_order, 2) + 1):
         characteristics = [
-            _minimal(_table, *member, keep=False).characteristic
+            _minimal(_table, *member).characteristic
             for member in minimal_family_members(n)]
         count = len(characteristics)
         counts.append(f"n={n}: {count}")

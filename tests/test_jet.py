@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from kgsym.arith import XYPoly, accumulate
-from kgsym.jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
-                       apply_operator_reduced, eval_exp_family, euler_operator,
-                       lift, reduce, reduced_J)
+from kgsym.jet import (FIELDS, FreeJetPoly, ReducedJetPoly,
+                       apply_operator_free, apply_operator_reduced,
+                       eval_exp_family, euler_operator, lift, reduce,
+                       reduced_J)
 from kgsym.opalg import TDOperator, kg_operator, monomial_op
+from kgsym.parser import parse_jet
 from kgsym.verify import random_reduced_jet, random_xypoly
 
 X = XYPoly.variable("x")
@@ -171,6 +173,62 @@ def test_jet_argument_errors(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+_NOT_INT = "'{}' object cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ReducedJetPoly({(("u", 1.5),): 1}), TypeError,
+     _NOT_INT.format("float")),
+    (lambda: ReducedJetPoly({(("u", 1.0),): 1}), TypeError,
+     _NOT_INT.format("float")),
+    (lambda: ReducedJetPoly({((1, 0),): 1}), TypeError,
+     "jet field must be a str, got int"),
+    (lambda: ReducedJetPoly({(("g", 0),): 1}), ValueError,
+     "unknown jet field 'g'"),
+    (lambda: ReducedJetPoly.var("v", 0), ValueError, "unknown jet field 'v'"),
+    (lambda: u(0).partial("g", 0), ValueError, "unknown jet field 'g'"),
+    (lambda: u(0).coefficient([("u", Fraction(0))]), TypeError,
+     _NOT_INT.format("Fraction")),
+    (lambda: FreeJetPoly({((-1, 0),): 1}), ValueError,
+     "derivative orders must be nonnegative"),
+    (lambda: FreeJetPoly({((0, 2.0),): 1}), TypeError,
+     _NOT_INT.format("float")),
+    (lambda: uf(0, 0).partial(0, -1), ValueError,
+     "derivative orders must be nonnegative"),
+], ids=["reduced_float_index", "reduced_integral_float_index",
+        "reduced_int_field", "reduced_unknown_field", "reduced_var_field",
+        "reduced_partial_field", "reduced_coefficient_index",
+        "free_negative_order", "free_float_order", "free_partial_order"])
+def test_jet_variables_are_checked(call, error, message):
+    # Every jet is checked where it is made, not only through var: 1.5 and
+    # -1 printed as u[1.5] and u(-1,0), and u[1.0] equalled u[1].
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+def test_constructed_jets_round_trip():
+    # Monomials given unsorted to the constructor, of every field: each
+    # printed jet parses back to the value, and equals the same jet built
+    # from var.
+    rng = random.Random(29)
+    for _ in range(500):
+        terms = {}
+        built = ReducedJetPoly.zero()
+        for _ in range(rng.randint(0, 4)):
+            mono = tuple((rng.choice(FIELDS), rng.randint(-4, 4))
+                         for _ in range(rng.randint(0, 3)))
+            if sorted(mono) in map(sorted, terms):
+                continue
+            coeff = random_xypoly(rng, allow_zero=False)
+            terms[mono] = coeff
+            for field, k in mono:
+                coeff = coeff * ReducedJetPoly.var(field, k)
+            built = built + coeff
+        p = ReducedJetPoly(terms)
+        assert parse_jet(str(p)) == p == built
 
 
 def test_eval_exp_family_rejects_mixed_fields():

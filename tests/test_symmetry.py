@@ -11,10 +11,11 @@ from kgsym import symmetry
 from kgsym.arith import XYPoly, sparse_kernel, terms_rank
 from kgsym.jet import ReducedJetPoly, apply_operator_reduced, reduced_J
 from kgsym.opalg import monomial_op
-from kgsym.symmetry import (DeterminingSystem, SymmetryBasis, chain_rows,
-                            dimension_table, graded_dimension,
-                            independence_rank, is_generalized_symmetry,
-                            reduced_bracket, solve_linear_determining)
+from kgsym.symmetry import (DeterminingSystem, SymmetryBasis,
+                            chain_dimensions, chain_rows, dimension_table,
+                            graded_dimension, independence_rank,
+                            is_generalized_symmetry, reduced_bracket,
+                            solve_linear_determining)
 
 X = XYPoly.variable("x")
 Y = XYPoly.variable("y")
@@ -371,6 +372,17 @@ def test_chain_counts_match_separate_solves():
         for m, d in ((2 * n, n + 2), (2 * n + 1, n + 3)):
             assert sum(1 for i, _ in rows if i <= m) == (
                 solve_linear_determining(n, d).dim)
+
+
+@pytest.mark.parametrize("max_order", range(6))
+def test_chain_dimensions_match_independent_routes(max_order):
+    # Every triple read off the one (N, N + 3) elimination against its own
+    # routes: the graded rank of graded_dimension and two separate solves.
+    rows = chain_rows(solve_linear_determining(max_order, max_order + 3))
+    assert chain_dimensions(rows, max_order) == [
+        (graded_dimension(n, n + 2), solve_linear_determining(n, n + 2).dim,
+         solve_linear_determining(n, n + 3).dim)
+        for n in range(max_order + 1)]
 
 
 @pytest.mark.parametrize("n", range(7))

@@ -232,6 +232,39 @@ def test_run_all_solves_once_and_builds_each_current_once(monkeypatch):
     assert len(built) == 7
 
 
+def test_run_all_share_protocol(monkeypatch):
+    # Conservation leaves each minimal current it builds in the table; the
+    # generating action and counting, the last to read them, take theirs
+    # out and read the very objects conservation built.
+    members = {n: minimal_family_members(n) for n in range(1, 5)}
+    table = {}
+    assert verify.check_conservation(_table=table).passed
+    assert list(table) == [m for n in range(1, 5) for m in members[n]]
+    assert len(table) == 36
+    built = dict(table)
+
+    def rebuilt(*member):
+        raise AssertionError(f"{member} built twice")
+    ranked = []
+
+    def recorded_rank(characteristics):
+        ranked.append(characteristics)
+        return len(characteristics)
+    monkeypatch.setattr(verify, "current_minimal", rebuilt)
+    monkeypatch.setattr(verify, "independence_rank", recorded_rank)
+    assert verify.check_generating_action(_table=table).passed
+    assert ("C2", 0, 0) not in table and len(table) == 35
+    assert verify.check_counting(max_order=3, _table=table).passed
+    assert list(table) == [m for n in (1, 4) for m in members[n]
+                           if m != ("C2", 0, 0)]
+    assert len(table) == 17
+    assert len(ranked) == 2
+    for n, characteristics in zip((2, 3), ranked):
+        assert len(characteristics) == len(members[n])
+        for eta, member in zip(characteristics, members[n]):
+            assert eta is built[member].characteristic
+
+
 def test_run_all_builds_each_uniform_current_once(monkeypatch):
     built = []
 
