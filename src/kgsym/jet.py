@@ -6,8 +6,9 @@ k >= 0 and the (-k)-th pure y-derivative for k < 0, with the mixed derivative
 eliminated through w_xy = w. The free (off-shell) jet keeps all coordinates
 u_(a,b) of the single field u. Every rule that turns jet monomials into
 other jet monomials lives here: the total derivatives (one at a time by the
-chain rule, and Dx T + Dy X of a pair in one flat integer pass), the Euler
-operator, the on-shell reduction morphism and lift, its inverse on the pure
+chain rule, and Dx T + Dy X of a pair in one flat integer pass), signed
+sums of shifted squares (one flat integer pass too), the Euler operator,
+the on-shell reduction morphism and lift, its inverse on the pure
 derivatives of u.
 """
 
@@ -43,13 +44,11 @@ _FREE_SHIFTS = {"x": lambda v: (v[0] + 1, v[1]),
 
 
 def _times(p, other):
-    """p * other for another polynomial of p's class, or a coefficient.
-
-    A square p * p sums each unordered pair of monomials once, the
-    off-diagonal products doubled: the jet product is commutative."""
+    """p * other for another polynomial of p's class, or a coefficient; a
+    square p * p is squares([(p, 0, 0, 1)])."""
     if other is p:
-        terms = accumulate({}, _square(list(p.terms.items())))
-    elif isinstance(other, type(p)):
+        return squares([(p, 0, 0, 1)])
+    if isinstance(other, type(p)):
         terms = mul_terms(p.terms, other.terms,
                           lambda m1, m2: tuple(sorted(m1 + m2)))
     elif isinstance(other, (XYPoly, int, Fraction)):
@@ -59,14 +58,42 @@ def _times(p, other):
     return from_terms(type(p), terms)
 
 
-def _square(items):
-    """(monomial, coefficient) pairs of the square of the terms items: each
-    diagonal product once, each unordered off-diagonal pair once, doubled."""
-    for i, (m1, c1) in enumerate(items):
-        yield tuple(sorted(m1 + m1)), c1 * c1
-        c1 = c1 * 2
-        for m2, c2 in items[i + 1:]:
-            yield tuple(sorted(m1 + m2)), c1 * c2
+def _scaled(coeff, den):
+    """(i, j, c) for each term c x^i y^j of the XYPoly coeff times den, a
+    multiple of the denominator of every coefficient: each c an int."""
+    return [(i, j, c * den if type(c) is int
+             else c.numerator * (den // c.denominator))
+            for (i, j), c in coeff.terms.items()]
+
+
+def squares(parts):
+    """The sum of sign * x^di * y^dj * p^2 over the parts (p, di, dj, sign),
+    jet polynomials p of one class; the result has that class.
+
+    One pass on the integer multiple: every p is scaled to int coefficients
+    by one common denominator den, the products of each unordered pair of
+    monomials of each p are summed once (the off-diagonal ones doubled: the
+    jet product is commutative) into one flat map {(monomial, i, j): c},
+    which is grouped once, each c divided by den^2."""
+    den = common_denominator(c for p, *_ in parts for c in p.terms.values())
+    sums = {}
+    for p, di, dj, sign in parts:
+        items = [(mono, _scaled(coeff, den))
+                 for mono, coeff in p.terms.items()]
+        for n, (m1, s1) in enumerate(items):
+            factor = sign
+            for m2, s2 in items[n:]:
+                mono = tuple(sorted(m1 + m2))
+                for i1, j1, c1 in s1:
+                    i1, j1, c1 = i1 + di, j1 + dj, c1 * factor
+                    for i2, j2, c2 in s2:
+                        key = mono, i1 + i2, j1 + j2
+                        sums[key] = sums.get(key, 0) + c1 * c2
+                factor = 2 * sign
+    d2 = den * den
+    return grouped(type(parts[0][0]), {
+        key: c // d2 if c % d2 == 0 else Fraction(c, d2)
+        for key, c in sums.items() if c})
 
 
 def _partial(p, var):
@@ -111,9 +138,7 @@ def onshell_divergence(t: ReducedJetPoly, x: ReducedJetPoly) -> ReducedJetPoly:
     sums = {}
     for p, di, dj, step in ((t, 1, 0, 1), (x, 0, 1, -1)):
         for mono, coeff in p.terms.items():
-            scaled = [(i, j, c * den if type(c) is int
-                       else c.numerator * (den // c.denominator))
-                      for (i, j), c in coeff.terms.items()]
+            scaled = _scaled(coeff, den)
             for i, j, c in scaled:
                 if e := i * di + j * dj:    # the exponent Dx or Dy lowers
                     key = mono, i - di, j - dj

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import XYPoly, common_denominator
+from .arith import common_denominator
 from .jet import (ReducedJetPoly, apply_operator_free, apply_operator_reduced,
-                  euler_operator, lift, onshell_divergence, prolonged_action)
+                  euler_operator, lift, onshell_divergence, prolonged_action,
+                  squares)
 from .opalg import (TDOperator, basis_op, kg_operator, monomial_op,
                     skew_self_split)
 from .record import Record
-
-_X = XYPoly.variable("x")
-_Y = XYPoly.variable("y")
 
 MINIMAL_FAMILIES = ("C1", "C1bar", "C2", "C2bar")
 CURRENT_FAMILIES = ("C0", "Ctilde", *MINIMAL_FAMILIES)
@@ -119,13 +117,11 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
         # latter Q[2kp+1, 0] = J^(2kp+1) at lp = 0.
         if family == "C1" and lp < 1:
             raise ValueError("family C1 requires lp >= 1")
-        side, sx, sy = ("X", -_X, -_Y) if family == "C1" else ("Y", _X, _Y)
+        # T = s (y (Dy base)^2 + x base^2), X = -s (x (Dx base)^2 + y base^2).
+        side, s = ("X", -1) if family == "C1" else ("Y", 1)
         base = apply_operator_reduced(monomial_op(side, kp, lp))
-        dx = base.total_derivative("x")
-        dy = base.total_derivative("y")
-        square = base * base
-        t = (dy * dy) * sy + square * sx
-        x = (dx * dx) * -sx + square * -sy
+        t = squares([(base.total_derivative("y"), 0, 1, s), (base, 1, 0, s)])
+        x = squares([(base.total_derivative("x"), 1, 0, -s), (base, 0, 1, -s)])
         char_op = basis_op("Qbar" if family == "C1bar" and lp else "Q",
                            2 * kp + 1, 2 * lp)
     elif family in ("C2", "C2bar"):
@@ -134,8 +130,8 @@ def current_minimal(family: str, kp: int, lp: int) -> ConservedCurrent:
         side, var, shift, kind = (("X", "x", -half, "Q") if family == "C2"
                                   else ("Y", "y", half, "Qbar"))
         base = apply_operator_reduced(monomial_op(side, kp, lp, shift))
-        d = base.total_derivative(var)
-        pair = (-(base * base), d * d)
+        pair = (squares([(base, 0, 0, -1)]),
+                squares([(base.total_derivative(var), 0, 0, 1)]))
         t, x = pair if family == "C2" else pair[::-1]
         char_op = basis_op(kind, 2 * kp, 2 * lp + 1)
     else:

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .arith import XYPoly, grouped
-from .jet import ReducedJetPoly, apply_operator_reduced, reduced_J
+from .jet import FIELDS, ReducedJetPoly, apply_operator_reduced, reduced_J
 from .noether import (current_C0, current_Ctilde, current_minimal,
                       is_cl_characteristic, is_variational_linear,
                       lift_linear_characteristic, minimal_family_members,
@@ -284,7 +284,7 @@ def random_operator(rng, max_order=3, max_terms=4) -> TDOperator:
 
 
 def random_reduced_jet(rng, max_order=4, max_degree=2, max_terms=4,
-                       fields=("u", "f")) -> ReducedJetPoly:
+                       fields=FIELDS) -> ReducedJetPoly:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         mono = tuple(sorted((rng.choice(fields),

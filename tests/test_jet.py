@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from kgsym.arith import XYPoly, accumulate
+from kgsym.arith import XYPoly, accumulate, common_denominator
 from kgsym.jet import (FIELDS, FreeJetPoly, ReducedJetPoly,
                        apply_operator_free, apply_operator_reduced,
                        eval_exp_family, euler_operator, lift, reduce,
-                       reduced_J)
+                       reduced_J, squares)
 from kgsym.opalg import TDOperator, kg_operator, monomial_op
 from kgsym.parser import parse_jet
 from kgsym.verify import random_reduced_jet, random_xypoly
@@ -376,6 +376,77 @@ def test_square_matches_general_product():
             assert _canonical(p * p, _is_reduced_var
                               if isinstance(p, ReducedJetPoly)
                               else _is_free_var)
+
+
+# Coefficient denominators of the squares tests: coprime ones, ones with
+# common factors, and one of 20 digits.
+_DENOMINATORS = (1, 1, 2, 3, 4, 9, 35, 12345678901234567891)
+
+
+def _mixed_jet(rng, cls):
+    """One to four terms of jet degree 0 to 3 and order at most 3, each
+    coefficient one to three terms c x^i y^j, i + j <= 2, with c's
+    denominator drawn from _DENOMINATORS."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = []
+        for _ in range(rng.randint(0, 3)):
+            if cls is ReducedJetPoly:
+                mono.append((rng.choice(FIELDS), rng.randint(-3, 3)))
+            else:
+                a = rng.randint(0, 3)
+                mono.append((a, rng.randint(0, 3 - a)))
+        coeff = {}
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, 2)
+            coeff[i, rng.randint(0, 2 - i)] = Fraction(
+                rng.choice((-1, 1)) * rng.randint(1, 9),
+                rng.choice(_DENOMINATORS))
+        terms[tuple(mono)] = XYPoly(coeff)
+    return cls(terms)
+
+
+def _squares_by_ring(parts):
+    """The sum of sign * x^di * y^dj * p^2 by the general jet product."""
+    total = type(parts[0][0]).zero()
+    for p, di, dj, sign in parts:
+        total = total + sign * X ** di * Y ** dj * (p * type(p)(dict(p.terms)))
+    return total
+
+
+def test_squares_match_ring_products():
+    rng = random.Random(41)
+    long_denominators = 0
+    for cls in (ReducedJetPoly, FreeJetPoly):
+        for _ in range(150):
+            parts = [(_mixed_jet(rng, cls), rng.randint(0, 2),
+                      rng.randint(0, 2), rng.choice((1, -1)))
+                     for _ in range(rng.randint(1, 3))]
+            result, expected = squares(parts), _squares_by_ring(parts)
+            assert type(result) is cls
+            assert result == expected, parts
+            assert _coefficient_reprs(result) == _coefficient_reprs(expected)
+            long_denominators += any(
+                c.denominator % _DENOMINATORS[-1] == 0
+                for p, *_ in parts for poly in p.terms.values()
+                for c in poly.terms.values() if type(c) is Fraction)
+    assert long_denominators > 10
+
+
+@pytest.mark.parametrize("cls", [ReducedJetPoly, FreeJetPoly])
+def test_squares_edge_cases(cls):
+    zero = squares([(cls.zero(), 1, 1, -1)])
+    assert type(zero) is cls and zero.is_zero()
+    p = _mixed_jet(random.Random(42), cls)
+    integral = p * common_denominator(p.terms.values())
+    parts = [(integral, 2, 0, -1), (integral + cls.one(), 0, 1, 1)]
+    result, expected = squares(parts), _squares_by_ring(parts)
+    assert result == expected
+    assert _coefficient_reprs(result) == _coefficient_reprs(expected)
+    assert all(type(c) is int for poly in result.terms.values()
+               for c in poly.terms.values())
+    cancel = squares([(p, 1, 2, 1), (-p, 1, 2, -1)])
+    assert type(cancel) is cls and cancel.is_zero()
 
 
 @pytest.mark.parametrize("cls", [ReducedJetPoly, FreeJetPoly])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from kgsym import noether
 from kgsym.arith import XYPoly
 from kgsym.jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
                        apply_operator_reduced, euler_operator, reduce,
@@ -182,6 +183,32 @@ def test_current_minimal_orders():
                     continue
                 c = current_minimal(family, kp, lp)
                 assert c.order == kp + lp + 1, (family, kp, lp)
+
+
+@pytest.mark.parametrize("family, kp, lp", [
+    ("C1", 0, 1), ("C1", 2, 1), ("C1bar", 0, 0), ("C1bar", 1, 2),
+    ("C2", 0, 0), ("C2", 2, 1), ("C2bar", 0, 0), ("C2bar", 1, 2)])
+def test_current_minimal_makes_no_jet_product(monkeypatch, family, kp, lp):
+    # T and X are sums of squares built on the integer multiple by
+    # jet.squares, so the construction multiplies no jet by a jet; the
+    # ConservedCurrent check still takes the divergence of the result.
+    products, checked = [], []
+    times = ReducedJetPoly.__mul__
+
+    def counting(self, other):
+        if isinstance(other, (ReducedJetPoly, FreeJetPoly)):
+            products.append((self, other))
+        return times(self, other)
+
+    def divergence(t, x):
+        checked.append((t, x))
+        return onshell_divergence(t, x)
+    monkeypatch.setattr(ReducedJetPoly, "__mul__", counting)
+    monkeypatch.setattr(ReducedJetPoly, "__rmul__", counting)
+    monkeypatch.setattr(noether, "onshell_divergence", divergence)
+    c = current_minimal(family, kp, lp)
+    assert products == []
+    assert checked == [(c.t, c.x)]
 
 
 def test_ctilde_order_never_below_minimal():

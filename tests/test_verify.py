@@ -6,6 +6,7 @@ Each check takes its words from kgsym.opalg.basis_op through one helper, so
 a wrong operator for one shape must make the check fail and name it.
 """
 
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -316,3 +317,23 @@ def test_check_result_fields_cannot_be_deleted():
             delattr(result, name)
         assert str(excinfo.value) == f"cannot delete field {name!r}"
     assert result == verify.CheckResult("a", True, "b")
+
+
+# sha256 of the printed forms, one a line, of the 1000 jets the parser round
+# trip parses; recorded before random_reduced_jet took its fields from
+# kgsym.jet.FIELDS, so the check's inputs are provably the same.
+ROUND_TRIP_JETS = (
+    "9ff451666897a5ffdbe5553c83ad5ba0571060981f4e9bea8d11d483be22fada")
+
+
+def test_parser_round_trip_jets_are_pinned(monkeypatch):
+    seen = []
+
+    def recording(text):
+        seen.append(text)
+        return parse_jet(text)
+    monkeypatch.setattr(verify, "parse_jet", recording)
+    assert verify.check_parser_round_trip().passed
+    assert len(seen) == 1000
+    digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
+    assert digest == ROUND_TRIP_JETS
