@@ -44,10 +44,7 @@ _FREE_SHIFTS = {"x": lambda v: (v[0] + 1, v[1]),
 
 
 def _times(p, other):
-    """p * other for another polynomial of p's class, or a coefficient; a
-    square p * p is squares([(p, 0, 0, 1)])."""
-    if other is p:
-        return squares([(p, 0, 0, 1)])
+    """p * other for another polynomial of p's class, or a coefficient."""
     if isinstance(other, type(p)):
         terms = mul_terms(p.terms, other.terms,
                           lambda m1, m2: tuple(sorted(m1 + m2)))
