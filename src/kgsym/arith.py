@@ -137,13 +137,24 @@ def scalar_prefixed(c, body: str) -> str:
 def pair_shown(names):
     """The _shown hook of a term map keyed by the exponent pairs (i, j) of
     the two names: highest total degree first, then highest i."""
-    return staticmethod(lambda key: ((-key[0] - key[1], -key[0]),
-                                     monomial_str(zip(names, key))))
+    x, y = names
+
+    def shown(key):     # monomial_str(zip(names, key)), written out
+        i, j = key
+        text = "" if not i else x if i == 1 else f"{x}^{i}"
+        if j:
+            power = y if j == 1 else f"{y}^{j}"
+            text = f"{text}*{power}" if text else power
+        return (-i - j, -i), text
+    return staticmethod(shown)
 
 
 def exponent_pair(key):
     """key with each exponent, a nonnegative integral rational, as an int."""
-    i, j = key = tuple(map(index, map(as_rational, key)))
+    if not (type(key) is tuple and len(key) == 2
+            and type(key[0]) is int and type(key[1]) is int):
+        key = tuple(map(index, map(as_rational, key)))
+    i, j = key
     if i < 0 or j < 0:
         raise ValueError(f"negative exponent in {key}")
     return key
@@ -296,7 +307,7 @@ class XYPoly(TermMap):
         raise ValueError(f"unknown variable {name!r}; only x and y exist")
 
     def is_constant(self) -> bool:
-        return all(key == (0, 0) for key in self.terms)
+        return self.terms.keys() <= {(0, 0)}
 
     def constant_value(self):
         if not self.is_constant():

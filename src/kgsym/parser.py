@@ -90,26 +90,25 @@ def _tokenize(text: str):
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in _SYMBOLS:
+            tokens.append((ch, ch, i))
             i += 1
-            continue
-        if "0" <= ch <= "9":
+        elif "0" <= ch <= "9":
             start = i
             while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(("INT", text[start:i], start))
-            continue
-        if ch.isalpha():
+        elif ch == " ":
+            i += 1
+        elif ch.isalpha():
             start = i
             while i < n and (text[i].isalpha() or "0" <= text[i] <= "9"):
                 i += 1
             tokens.append(("NAME", text[start:i], start))
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
+        elif ch.isspace():
             i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("END", "", n))
     return tokens
 
@@ -223,6 +222,16 @@ class _Parser:
         charged first, then every coefficient made by a multiplication; a
         coefficient or factor 1 multiplies nothing."""
         self.charge(self.cost(a, b), tok)
+        if len(a) == 1 == len(b):   # no two of its terms share a monomial
+            (m1, c1), = a.items()
+            (m2, c2), = b.items()
+            c = (c2 if c1 == 1 else c1 if c2 == 1
+                 else self.charged(c1 * c2, tok))
+            terms = {}
+            for m, f in self.monomial_product(m1, m2):
+                terms[m] = as_rational(c if f == 1
+                                       else self.charged(c * f, tok))
+            return terms
         pairs = []
         for m1, c1 in a.items():
             for m2, c2 in b.items():

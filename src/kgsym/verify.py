@@ -258,15 +258,28 @@ def check_independence(max_order: int = 5) -> CheckResult:
                     f"full rank up to order {max_order}")
 
 
+def _randint(rng, a, b) -> int:
+    """rng.randint(a, b) from the same draws: the standard library's own
+    rejection loop over getrandbits, without its checks and calls."""
+    n = b - a + 1
+    if n <= 0:
+        raise ValueError(f"empty range [{a}, {b}]")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def random_rational(rng) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Fraction(_randint(rng, -9, 9), _randint(rng, 1, 9))
 
 
 def random_xypoly(rng, max_degree=2, max_terms=3, allow_zero=True) -> XYPoly:
     terms = {}
-    for _ in range(rng.randint(0 if allow_zero else 1, max_terms)):
-        i = rng.randint(0, max_degree)
-        j = rng.randint(0, max_degree - i)
+    for _ in range(_randint(rng, 0 if allow_zero else 1, max_terms)):
+        i = _randint(rng, 0, max_degree)
+        j = _randint(rng, 0, max_degree - i)
         terms[(i, j)] = random_rational(rng)
     poly = XYPoly(terms)
     if not allow_zero and poly.is_zero():
@@ -276,9 +289,9 @@ def random_xypoly(rng, max_degree=2, max_terms=3, allow_zero=True) -> XYPoly:
 
 def random_operator(rng, max_order=3, max_terms=4) -> TDOperator:
     terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        p = rng.randint(0, max_order)
-        q = rng.randint(0, max_order - p)
+    for _ in range(_randint(rng, 0, max_terms)):
+        p = _randint(rng, 0, max_order)
+        q = _randint(rng, 0, max_order - p)
         terms[(p, q)] = random_xypoly(rng, max_degree=2, allow_zero=False)
     return TDOperator(terms)
 
@@ -286,10 +299,10 @@ def random_operator(rng, max_order=3, max_terms=4) -> TDOperator:
 def random_reduced_jet(rng, max_order=4, max_degree=2, max_terms=4,
                        fields=FIELDS) -> ReducedJetPoly:
     terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        mono = tuple(sorted((rng.choice(fields),
-                             rng.randint(-max_order, max_order))
-                            for _ in range(rng.randint(0, max_degree))))
+    for _ in range(_randint(rng, 0, max_terms)):
+        mono = tuple(sorted((fields[_randint(rng, 0, len(fields) - 1)],
+                             _randint(rng, -max_order, max_order))
+                            for _ in range(_randint(rng, 0, max_degree))))
         terms[mono] = random_xypoly(rng, max_degree=2, allow_zero=False)
     return ReducedJetPoly(terms)
 

@@ -1,13 +1,15 @@
 """Tests for exact rationals, bivariate polynomials and the nullspace."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from kgsym.arith import (RationalMatrix, XYPoly, accumulate, as_rational,
-                         flat, from_terms, grouped, mul_terms, nullspace,
-                         poly_coefficient, rank, scale_terms)
+                         exponent_pair, flat, from_terms, grouped,
+                         monomial_str, mul_terms, nullspace, poly_coefficient,
+                         rank, scale_terms)
 from kgsym.jet import FreeJetPoly, ReducedJetPoly, lift
 from kgsym.opalg import TDOperator
 from kgsym.parser import parse_operator
@@ -173,6 +175,44 @@ def test_integral_rational_exponents_are_stored_as_int():
     # Either form of an integral rational is an exponent, as for scalars.
     p = XYPoly({(Fraction(1), True): 1})
     assert p == X * Y and [type(e) for e in next(iter(p.terms))] == [int, int]
+
+
+@pytest.mark.parametrize("key, expected", [
+    ((2, 3), (2, 3)), ((True, 2), (1, 2)), ([1, 2], (1, 2)),
+    ((Fraction(4, 2), 0), (2, 0)), ((0, Fraction(3)), (0, 3))])
+def test_exponent_pair_returns_a_tuple_of_ints(key, expected):
+    pair = exponent_pair(key)
+    assert pair == expected and type(pair) is tuple
+    assert [type(e) for e in pair] == [int, int]
+
+
+@pytest.mark.parametrize("key, error, message", [
+    ((-1, 2), ValueError, "negative exponent in (-1, 2)"),
+    ((3, -2), ValueError, "negative exponent in (3, -2)"),
+    ([-1, 0], ValueError, "negative exponent in (-1, 0)"),
+    ((Fraction(1, 2), 0), TypeError, _NOT_INT.format("Fraction")),
+    ((1.0, 0), TypeError, _NOT_RATIONAL.format("float")),
+    ((0, 1.0), TypeError, _NOT_RATIONAL.format("float"))])
+def test_exponent_pair_errors(key, error, message):
+    with pytest.raises(error) as excinfo:
+        exponent_pair(key)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+def test_pair_shown_writes_monomial_str():
+    for cls, names in ((XYPoly, "xy"), (TDOperator, ("Dx", "Dy"))):
+        for i, j in itertools.product(range(4), (0, 1, 2, 13)):
+            assert cls._shown((i, j)) == (
+                (-i - j, -i), monomial_str(zip(names, (i, j))))
+
+
+def test_is_constant():
+    assert XYPoly.zero().is_constant()
+    assert XYPoly.constant(Fraction(3, 2)).is_constant()
+    assert XYPoly.one().is_constant()
+    assert not X.is_constant()
+    assert not (X + 1).is_constant()
+    assert not XYPoly({(0, 2): 5}).is_constant()
 
 
 def test_int_subclass_coefficient_is_stored_as_int():

@@ -1,6 +1,7 @@
 """Parser tests: grammar examples, error reporting, print/parse round trips,
 and the sum fold against ring operations."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -11,9 +12,10 @@ from kgsym.arith import XYPoly
 from kgsym.jet import ReducedJetPoly, reduced_J
 from kgsym.opalg import TDOperator, basis_op, kg_operator
 from kgsym.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_JET_INDEX,
-                          MAX_NESTING, MAX_WORK, ParseError, parse_jet,
-                          parse_operator)
-from kgsym.verify import random_operator, random_reduced_jet
+                          MAX_NESTING, MAX_WORK, ParseError, _JetParser,
+                          _OperatorParser, parse_jet, parse_operator)
+from kgsym.verify import (ROUND_TRIP_SEED, random_operator,
+                          random_reduced_jet)
 
 
 def test_operator_grammar_examples():
@@ -470,3 +472,68 @@ def test_large_coefficients_within_the_work_bound_cancel():
     big = "9" * 3000
     assert parse_operator(f"({big}*x)^2 - ({big}*x)^2") == TDOperator.zero()
     assert parse_jet(f"({big}*x)^2 - ({big}*x)^2") == ReducedJetPoly.zero()
+
+
+def _work(parser, text):
+    """The work a parse of text spends, in monomial steps."""
+    p = parser(text)
+    p.parse()
+    return p.work
+
+
+# sha256 of the list of works, repr'd, of the 1000 operators and the 1000
+# jets the parser round trip parses, with their sums; recorded before
+# products of one monomial by one monomial took their own path.
+ROUND_TRIP_WORK = {
+    _OperatorParser: (6527, "095dd9d0946025371ab8e29758eed4116cc078ed"
+                            "348793126dcc27665bce46a8"),
+    _JetParser: (9865, "40850397ddf88ef3449d11a771d0e7853cbc31e5"
+                       "1880e8e02f20e60a7da79433"),
+}
+
+
+def test_round_trip_parse_work_is_pinned():
+    rng = random.Random(ROUND_TRIP_SEED)
+    texts = {_OperatorParser: [str(random_operator(rng)) for _ in range(1000)],
+             _JetParser: [str(random_reduced_jet(rng)) for _ in range(1000)]}
+    for parser, (total, digest) in ROUND_TRIP_WORK.items():
+        works = [_work(parser, text) for text in texts[parser]]
+        assert sum(works) == total
+        assert hashlib.sha256(repr(works).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("parser, text, work", [
+    (_OperatorParser, "(3*Dx)*(5*x)", 4),
+    (_OperatorParser, "(123456789012345678901234567890*Dx^3)"
+                      "*(987654321098765432109876543210*x^3)", 55),
+    (_OperatorParser, "J^48", 279402),
+    (_OperatorParser, "(3/2*Dx^2*Dy)*(2/3*x^2*y^3)", 11),
+    (_OperatorParser, "(3/2*Dx)*(2/3*x)", 4),
+    # 1/3 * 1610612736 is Fraction(2^29, 1); times the Leibniz factor 2 it
+    # is Fraction(2^30, 1), charged 32 bits (2 steps) where 2^30 is 31 (1).
+    (_OperatorParser, "(1/3*Dx^2)*(1610612736*x^2)", 10),
+    (_OperatorParser, "(-7*Dx)*(x + 1/2*y)", 5),
+    (_OperatorParser, "(2*Dx + 3/5*x*Dy)^4", 37),
+    (_OperatorParser, "Dx*x", 2),
+    (_OperatorParser, "x*Dx", 1),
+    (_JetParser, "(3/2*u[0])*(2/3*u[1])", 7),
+    (_JetParser, "(3*u[0]*x)*(5*u[-1]^2)", 11),
+    (_JetParser, "(-5/7*x*u[2])*(14/15*y*u[2]*f[-1])", 13),
+    (_JetParser, "(123456789012345678901234567890*u[2])"
+                 "*(987654321098765432109876543210*f[-2]*y)", 21),
+    (_JetParser, "(1/2*u[0] + 3*f[1])^5", 144),
+    (_JetParser, "(-4/9*u[0]^2*x)^3", 7),
+])
+def test_parse_work_is_pinned(parser, text, work):
+    # Each product is charged once, the same steps whether it has one
+    # monomial pair or many; recorded before the one-pair path.
+    assert _work(parser, text) == work
+
+
+def test_one_pair_products_normalize_coefficients():
+    assert _coefficient_reprs(parse_jet("(3/2*u[0])*(2/3*u[1])")) == [
+        ("(('u', 0), ('u', 1))", "(0, 0)", "1")]
+    op = parse_operator("(3/2*Dx)*(2/3*x)")
+    assert op == parse_operator("x*Dx + 1")
+    assert all(type(c) is int for poly in op.terms.values()
+               for c in poly.terms.values())

@@ -1,19 +1,21 @@
 """Failure paths of the verification checks, each forced through a name
-that kgsym.verify imports and named in the check's detail, and the work one
-run_all call shares.
+that kgsym.verify imports and named in the check's detail, the work one
+run_all call shares, and the random values the parser round trip draws.
 
 Each check takes its words from kgsym.opalg.basis_op through one helper, so
 a wrong operator for one shape must make the check fail and name it.
 """
 
 import hashlib
+import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from kgsym import verify
 from kgsym.arith import XYPoly
-from kgsym.jet import ReducedJetPoly, reduced_J
+from kgsym.jet import FIELDS, ReducedJetPoly, reduced_J
 from kgsym.noether import (current_C0, current_Ctilde, current_minimal,
                            is_cl_characteristic, minimal_family_members)
 from kgsym.opalg import TDOperator, basis_op
@@ -337,3 +339,81 @@ def test_parser_round_trip_jets_are_pinned(monkeypatch):
     assert len(seen) == 1000
     digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
     assert digest == ROUND_TRIP_JETS
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (5, 5), (-9, 9), (1, 9), (0, 1),
+                                  (-4, -1), (0, 2), (-3, 4), (0, 1000),
+                                  (-(2 ** 70), 2 ** 70)])
+def test_randint_draws_the_stdlib_stream(a, b):
+    # The same values as random.Random.randint, and the same state after,
+    # so every later draw of a seed is unchanged; width 1 uses draws too.
+    for seed in (0, 1, 51, verify.ROUND_TRIP_SEED):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert ([verify._randint(ours, a, b) for _ in range(200)]
+                == [theirs.randint(a, b) for _ in range(200)])
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_randint_rejects_an_empty_range():
+    for a, b in ((1, 0), (0, -5)):
+        with pytest.raises(ValueError):
+            verify._randint(random.Random(1), a, b)
+
+
+# The four random_* helpers as they drew before verify._randint, through
+# random.Random.randint and random.Random.choice.
+
+def _reference_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _reference_xypoly(rng, max_degree=2, max_terms=3, allow_zero=True):
+    terms = {}
+    for _ in range(rng.randint(0 if allow_zero else 1, max_terms)):
+        i = rng.randint(0, max_degree)
+        j = rng.randint(0, max_degree - i)
+        terms[(i, j)] = _reference_rational(rng)
+    poly = XYPoly(terms)
+    if not allow_zero and poly.is_zero():
+        return XYPoly.one()
+    return poly
+
+
+def _reference_operator(rng, max_order=3, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        p = rng.randint(0, max_order)
+        q = rng.randint(0, max_order - p)
+        terms[(p, q)] = _reference_xypoly(rng, max_degree=2, allow_zero=False)
+    return TDOperator(terms)
+
+
+def _reference_jet(rng, max_order=4, max_degree=2, max_terms=4,
+                   fields=FIELDS):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        mono = tuple(sorted((rng.choice(fields),
+                             rng.randint(-max_order, max_order))
+                            for _ in range(rng.randint(0, max_degree))))
+        terms[mono] = _reference_xypoly(rng, max_degree=2, allow_zero=False)
+    return ReducedJetPoly(terms)
+
+
+@pytest.mark.parametrize("seed", [verify.ROUND_TRIP_SEED, 51])
+@pytest.mark.parametrize("draw, reference", [
+    (verify.random_rational, _reference_rational),
+    (verify.random_xypoly, _reference_xypoly),
+    (lambda rng: verify.random_xypoly(rng, allow_zero=False),
+     lambda rng: _reference_xypoly(rng, allow_zero=False)),
+    (verify.random_operator, _reference_operator),
+    (verify.random_reduced_jet, _reference_jet),
+    (lambda rng: verify.random_reduced_jet(rng, fields=("u",)),
+     lambda rng: _reference_jet(rng, fields=("u",))),
+], ids=["rational", "xypoly", "xypoly_nonzero", "operator", "jet",
+        "jet_one_field"])
+def test_random_helpers_draw_the_reference_stream(seed, draw, reference):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(300):
+        value, expected = draw(ours), reference(theirs)
+        assert value == expected and repr(value) == repr(expected)
+    assert ours.getstate() == theirs.getstate()
