@@ -109,8 +109,8 @@ def join_signed(pieces) -> str:
 def monomial_str(powers) -> str:
     """Print (name, exponent) pairs as a product such as x^2*y, leaving out
     zero exponents."""
-    return "*".join(name if e == 1 else f"{name}^{e}"
-                    for name, e in powers if e)
+    return "*".join([name if e == 1 else f"{name}^{e}"
+                     for name, e in powers if e])
 
 
 def _rational_str(c) -> str:
@@ -137,24 +137,13 @@ def scalar_prefixed(c, body: str) -> str:
 def pair_shown(names):
     """The _shown hook of a term map keyed by the exponent pairs (i, j) of
     the two names: highest total degree first, then highest i."""
-    x, y = names
-
-    def shown(key):     # monomial_str(zip(names, key)), written out
-        i, j = key
-        text = "" if not i else x if i == 1 else f"{x}^{i}"
-        if j:
-            power = y if j == 1 else f"{y}^{j}"
-            text = f"{text}*{power}" if text else power
-        return (-i - j, -i), text
-    return staticmethod(shown)
+    return staticmethod(lambda key: ((-key[0] - key[1], -key[0]),
+                                     monomial_str(zip(names, key))))
 
 
 def exponent_pair(key):
     """key with each exponent, a nonnegative integral rational, as an int."""
-    if not (type(key) is tuple and len(key) == 2
-            and type(key[0]) is int and type(key[1]) is int):
-        key = tuple(map(index, map(as_rational, key)))
-    i, j = key
+    i, j = key = tuple(map(index, map(as_rational, key)))
     if i < 0 or j < 0:
         raise ValueError(f"negative exponent in {key}")
     return key

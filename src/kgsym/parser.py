@@ -222,16 +222,6 @@ class _Parser:
         charged first, then every coefficient made by a multiplication; a
         coefficient or factor 1 multiplies nothing."""
         self.charge(self.cost(a, b), tok)
-        if len(a) == 1 == len(b):   # no two of its terms share a monomial
-            (m1, c1), = a.items()
-            (m2, c2), = b.items()
-            c = (c2 if c1 == 1 else c1 if c2 == 1
-                 else self.charged(c1 * c2, tok))
-            terms = {}
-            for m, f in self.monomial_product(m1, m2):
-                terms[m] = as_rational(c if f == 1
-                                       else self.charged(c * f, tok))
-            return terms
         pairs = []
         for m1, c1 in a.items():
             for m2, c2 in b.items():

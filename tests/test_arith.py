@@ -1,15 +1,13 @@
 """Tests for exact rationals, bivariate polynomials and the nullspace."""
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from kgsym.arith import (RationalMatrix, XYPoly, accumulate, as_rational,
-                         exponent_pair, flat, from_terms, grouped,
-                         monomial_str, mul_terms, nullspace, poly_coefficient,
-                         rank, scale_terms)
+                         exponent_pair, flat, from_terms, grouped, mul_terms,
+                         nullspace, poly_coefficient, rank, scale_terms)
 from kgsym.jet import FreeJetPoly, ReducedJetPoly, lift
 from kgsym.opalg import TDOperator
 from kgsym.parser import parse_operator
@@ -197,13 +195,6 @@ def test_exponent_pair_errors(key, error, message):
     with pytest.raises(error) as excinfo:
         exponent_pair(key)
     assert type(excinfo.value) is error and str(excinfo.value) == message
-
-
-def test_pair_shown_writes_monomial_str():
-    for cls, names in ((XYPoly, "xy"), (TDOperator, ("Dx", "Dy"))):
-        for i, j in itertools.product(range(4), (0, 1, 2, 13)):
-            assert cls._shown((i, j)) == (
-                (-i - j, -i), monomial_str(zip(names, (i, j))))
 
 
 def test_is_constant():
