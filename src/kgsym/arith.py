@@ -134,6 +134,11 @@ def scalar_prefixed(c, body: str) -> str:
     return f"{_rational_str(c)}*{body}"
 
 
+def _pair_sum(k1, k2):
+    """The exponent pair of the product of the monomials keyed k1 and k2."""
+    return k1[0] + k2[0], k1[1] + k2[1]
+
+
 def pair_shown(names):
     """The _shown hook of a term map keyed by the exponent pairs (i, j) of
     the two names: highest total degree first, then highest i."""
@@ -330,9 +335,9 @@ class XYPoly(TermMap):
         return (-self)._plus(other)
 
     def __mul__(self, other):
-        """The product with an XYPoly or a rational. A one-term factor
-        k x^a y^b, on either side, only shifts the other's keys by (a, b)
-        and scales by k: no two keys meet, so nothing is summed."""
+        """The product with an XYPoly or a rational, by mul_terms. A
+        one-term factor k x^a y^b, on either side, only shifts the other's
+        keys by (a, b) and scales by k: no two keys meet, nothing is summed."""
         if isinstance(other, XYPoly):
             terms, factor = self.terms, other.terms
             if len(terms) == 1:
@@ -342,11 +347,7 @@ class XYPoly(TermMap):
                 terms = {(i + a, j + b): _integral(c * k)
                          for (i, j), c in terms.items()}
             else:
-                # mul_terms with the exponent-pair product written out: this
-                # is the package's hottest loop, so it makes no call per term.
-                terms = accumulate({}, (((i1 + i2, j1 + j2), c1 * c2)
-                                        for (i1, j1), c1 in terms.items()
-                                        for (i2, j2), c2 in factor.items()))
+                terms = mul_terms(terms, factor, _pair_sum)
         elif isinstance(other, (int, Fraction)):
             terms = scale_terms(self.terms, other)
         else:
@@ -370,19 +371,13 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries):
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry grid does not match declared dimensions")
-        self.rows = rows
-        self.cols = cols
+    def __init__(self, entries):
+        """The matrix of the rows entries; ValueError when they are ragged."""
         self.entries = [[as_rational(v) for v in row] for row in entries]
-
-    @classmethod
-    def from_rows(cls, entries) -> "RationalMatrix":
-        entries = [list(row) for row in entries]
-        rows = len(entries)
-        cols = len(entries[0]) if entries else 0
-        return cls(rows, cols, entries)
+        self.rows = len(self.entries)
+        self.cols = len(self.entries[0]) if self.entries else 0
+        if any(len(row) != self.cols for row in self.entries):
+            raise ValueError("matrix rows differ in length")
 
 
 def _primitive(row):

@@ -5,11 +5,11 @@ w_k per field w, one integer index k: w_k is the k-th pure x-derivative for
 k >= 0 and the (-k)-th pure y-derivative for k < 0, with the mixed derivative
 eliminated through w_xy = w. The free (off-shell) jet keeps all coordinates
 u_(a,b) of the single field u. Every rule that turns jet monomials into
-other jet monomials lives here: the total derivatives (one at a time by the
-chain rule, and Dx T + Dy X of a pair in one flat integer pass), signed
-sums of shifted squares (one flat integer pass too), the Euler operator,
-the on-shell reduction morphism and lift, its inverse on the pure
-derivatives of u.
+other jet monomials lives here: their product, the total derivatives (one
+at a time by the chain rule, and Dx T + Dy X of a pair in one flat integer
+pass), signed sums of shifted squares (one flat integer pass too), the
+Euler operator, the on-shell reduction morphism and lift, its inverse on
+the pure derivatives of u.
 """
 
 from __future__ import annotations
@@ -43,11 +43,16 @@ _FREE_SHIFTS = {"x": lambda v: (v[0] + 1, v[1]),
                 "y": lambda v: (v[0], v[1] + 1)}
 
 
+def monomial_product(m1, m2):
+    """The product of the jet monomials m1 and m2: the sorted tuple of the
+    variables of both."""
+    return tuple(sorted(m1 + m2))
+
+
 def _times(p, other):
     """p * other for another polynomial of p's class, or a coefficient."""
     if isinstance(other, type(p)):
-        terms = mul_terms(p.terms, other.terms,
-                          lambda m1, m2: tuple(sorted(m1 + m2)))
+        terms = mul_terms(p.terms, other.terms, monomial_product)
     elif isinstance(other, (XYPoly, int, Fraction)):
         terms = scale_terms(p.terms, other)
     else:
@@ -80,7 +85,7 @@ def squares(parts):
         for n, (m1, s1) in enumerate(items):
             factor = sign
             for m2, s2 in items[n:]:
-                mono = tuple(sorted(m1 + m2))
+                mono = monomial_product(m1, m2)
                 for i1, j1, c1 in s1:
                     i1, j1, c1 = i1 + di, j1 + dj, c1 * factor
                     for i2, j2, c2 in s2:
@@ -181,10 +186,6 @@ class _JetPoly(TermMap):
     @classmethod
     def one(cls):
         return cls({(): XYPoly.one()})
-
-    @classmethod
-    def from_poly(cls, poly):
-        return cls({(): poly})
 
     def jet_variables(self):
         return {var for mono in self.terms for var in mono}

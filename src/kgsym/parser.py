@@ -11,13 +11,14 @@ monomials c * x^i * y^j * key, where key is the derivative orders (p, q) of
 Dx^p Dy^q or the sorted jet variables; J is x*Dx - y*Dy. + and - add into
 the map, and a product of two maps is their distributed product. Operator
 monomials multiply by opalg.monomial_product, the package's one Leibniz
-rule, in closed form (Dx*x = x*Dx + 1). A power of one monomial multiplies
-its exponents, unless it mixes derivatives with x or y or holds more than
-MAX_EXPONENT jet variables; any other power, such as (x + y)^2, is that many
-products. Products, and the size of the coefficients they multiply out, are
-charged to one work budget per parse, MAX_WORK; a bound on the Leibniz
-factors of a product is charged before they are built. The map becomes a
-value once, at the end, so no parse makes a ring operation.
+rule, in closed form (Dx*x = x*Dx + 1), and jet monomials by
+jet.monomial_product. A power of one monomial multiplies its exponents,
+unless it mixes derivatives with x or y or holds more than MAX_EXPONENT
+jet variables; any other power, such as (x + y)^2, is that many products.
+Products, and the size of the coefficients they multiply out, are charged
+to one work budget per parse, MAX_WORK; a bound on the Leibniz factors of a
+product is charged before they are built. The map becomes a value once, at
+the end, so no parse makes a ring operation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from . import opalg
+from . import jet, opalg
 from .arith import accumulate, as_rational, grouped, neg_terms
 from .jet import FIELDS, ReducedJetPoly
 from .opalg import TDOperator
@@ -128,8 +129,8 @@ class _Parser:
     other than x and y, or None; cost(a, b), the work in monomial steps of
     the product of the maps a and b; and for monomials m = (key, i, j),
     monomial_product(m1, m2), the (monomial, int factor) pairs that sum to
-    m1 * m2 (opalg's for operators), and monomial_power(m, e), the monomial
-    m^e or else None."""
+    m1 * m2 (by opalg's or jet's monomial_product), and
+    monomial_power(m, e), the monomial m^e or else None."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -349,14 +350,14 @@ class _JetParser(_Parser):
         return steps
 
     def monomial_product(self, m1, m2):
-        return (((tuple(sorted(m1[0] + m2[0])), m1[1] + m2[1], m1[2] + m2[2]),
-                 1),)
+        return (((jet.monomial_product(m1[0], m2[0]), m1[1] + m2[1],
+                  m1[2] + m2[2]), 1),)
 
     def monomial_power(self, m, e):
         key, i, j = m
         if len(key) * e > MAX_EXPONENT:
             return None
-        return tuple(sorted(key * e)), i * e, j * e
+        return jet.monomial_product(key * e, ()), i * e, j * e
 
 
 def parse_operator(text: str) -> TDOperator:

@@ -70,21 +70,21 @@ def test_diff_commutes_randomized():
 
 
 def test_nullspace_trivial_examples():
-    assert nullspace(RationalMatrix.from_rows([[1, -1]])) == [[1, 1]]
-    assert nullspace(RationalMatrix.from_rows([[1, 0], [0, 1]])) == []
+    assert nullspace(RationalMatrix([[1, -1]])) == [[1, 1]]
+    assert nullspace(RationalMatrix([[1, 0], [0, 1]])) == []
 
 
 def test_nullspace_hand_row_reduction():
     # [[1,0,1],[0,1,1]] is already in reduced echelon form with free column
     # 2, so the lone kernel vector reads off as (-1, -1, 1).
-    basis = nullspace(RationalMatrix.from_rows([[1, 0, 1], [0, 1, 1]]))
+    basis = nullspace(RationalMatrix([[1, 0, 1], [0, 1, 1]]))
     assert basis == [[-1, -1, 1]]
 
 
 def test_nullspace_rref_convention():
     # Two free columns: each vector has a unit pivot in its own free column
     # and zero in the other, ordered by free-column index.
-    m = RationalMatrix.from_rows([[1, 2, 3, 4]])
+    m = RationalMatrix([[1, 2, 3, 4]])
     basis = nullspace(m)
     assert len(basis) == 3
     free_cols = [1, 2, 3]
@@ -100,7 +100,7 @@ def test_nullspace_properties_randomized(seed):
     rng = random.Random(seed)
     rows = rng.randint(1, 6)
     cols = rng.randint(1, 6)
-    m = RationalMatrix.from_rows(
+    m = RationalMatrix(
         [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
           for _ in range(cols)] for _ in range(rows)])
     basis = nullspace(m)
@@ -109,18 +109,24 @@ def test_nullspace_properties_randomized(seed):
             assert sum(a * v for a, v in zip(row, vec)) == 0
     assert rank(m) + len(basis) == cols
     if basis:
-        stacked = RationalMatrix.from_rows(basis)
+        stacked = RationalMatrix(basis)
         assert rank(stacked) == len(basis)
 
 
 def test_rank_of_zero_and_full():
-    assert rank(RationalMatrix.from_rows([[0, 0], [0, 0]])) == 0
-    assert rank(RationalMatrix.from_rows([[2, 0], [0, Fraction(1, 3)]])) == 2
+    assert rank(RationalMatrix([[0, 0], [0, 0]])) == 0
+    assert rank(RationalMatrix([[2, 0], [0, Fraction(1, 3)]])) == 2
 
 
 def test_matrix_dimension_validation():
-    with pytest.raises(ValueError):
-        RationalMatrix(2, 2, [[1, 2]])
+    # Rows and columns are read off the entries; ragged rows are refused.
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]]):
+        with pytest.raises(ValueError):
+            RationalMatrix(ragged)
+    for entries, shape in (([], (0, 0)), ([[]], (1, 0)),
+                           ([[1, 2, 3], [4, 5, 6]], (2, 3))):
+        m = RationalMatrix(entries)
+        assert (m.rows, m.cols) == shape and m.entries == entries
 
 
 @pytest.mark.parametrize("call, message", [
@@ -277,7 +283,7 @@ def test_integral_values_are_stored_as_int():
     assert all(type(c) is int for c in scaled.values())
     assert type(poly_coefficient(Fraction(3)).terms[(0, 0)]) is int
     assert type(XYPoly.zero().constant_value()) is int
-    m = RationalMatrix.from_rows([[Fraction(4, 2), 1, 0], [half, 0, 2]])
+    m = RationalMatrix([[Fraction(4, 2), 1, 0], [half, 0, 2]])
     assert [type(v) for row in m.entries for v in row] == [
         int, int, int, Fraction, int, int]
     assert [[type(v) for v in vec] for vec in nullspace(m)] == [
@@ -329,11 +335,12 @@ _CONTRACT = {
                       (): _X},
                      {(("u", 0), ("u", 1)): XYPoly.constant(3), (): _X},
                      "ReducedJetPoly(3*u[1]*u[0] + x)",
-                     ReducedJetPoly.from_poly),
+                     lambda p: ReducedJetPoly({(): p})),
     FreeJetPoly: ({((1, 0), (0, 2)): 3, ((0, 0),): 0, (): Fraction(1, 2)},
                   {((0, 2), (1, 0)): XYPoly.constant(3),
                    (): XYPoly.constant(Fraction(1, 2))},
-                  "FreeJetPoly(3*u(0,2)*u(1,0) + 1/2)", FreeJetPoly.from_poly),
+                  "FreeJetPoly(3*u(0,2)*u(1,0) + 1/2)",
+                  lambda p: FreeJetPoly({(): p})),
 }
 
 
@@ -371,7 +378,7 @@ def test_term_map_value_contract(cls):
     jets = (ReducedJetPoly, FreeJetPoly)
     if cls in jets:
         other = jets[cls is ReducedJetPoly]
-        assert cls.from_poly(_X) != other.from_poly(_X)
+        assert cls({(): _X}) != other({(): _X})
         assert cls.zero() != other.zero()
         with pytest.raises(TypeError):
             cls.zero() + other.zero()

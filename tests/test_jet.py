@@ -8,8 +8,8 @@ import pytest
 from kgsym.arith import XYPoly, accumulate, common_denominator
 from kgsym.jet import (FIELDS, FreeJetPoly, ReducedJetPoly,
                        apply_operator_free, apply_operator_reduced,
-                       eval_exp_family, euler_operator, lift, reduce,
-                       reduced_J, squares)
+                       eval_exp_family, euler_operator, lift,
+                       monomial_product, reduce, reduced_J, squares)
 from kgsym.opalg import TDOperator, kg_operator, monomial_op
 from kgsym.parser import parse_jet
 from kgsym.verify import random_reduced_jet, random_xypoly
@@ -254,8 +254,30 @@ def test_eval_exp_family_intertwines():
         assert lhs == rhs
 
 
+def test_monomial_product_is_the_sorted_concatenation():
+    # Repeated variables, both fields and negative indices: the product
+    # lists every variable of both monomials, in sorted order.
+    m1 = (("f", -2), ("u", -1), ("u", -1), ("u", 3))
+    m2 = (("f", 2), ("u", -1), ("u", 0))
+    assert monomial_product(m1, m2) == monomial_product(m2, m1) == (
+        ("f", -2), ("f", 2), ("u", -1), ("u", -1), ("u", -1), ("u", 0),
+        ("u", 3))
+    assert monomial_product(m1, ()) == m1 and monomial_product((), ()) == ()
+    assert monomial_product(((0, 2), (1, 0)), ((0, 2),)) == (
+        (0, 2), (0, 2), (1, 0))
+    # The jet parser's folded power and product keys agree with the ring
+    # product of the jet classes.
+    f = ReducedJetPoly.var
+    for text, value in (("u[-1]^3*f[2]^2*u[0]", u(-1) * u(-1) * u(-1)
+                         * f("f", 2) * f("f", 2) * u(0)),
+                        ("(f[-2]*u[-1])^2*u[-1]", f("f", -2) * u(-1)
+                         * f("f", -2) * u(-1) * u(-1))):
+        parsed = parse_jet(text)
+        assert parsed == value and list(parsed.terms) == list(value.terms)
+
+
 def test_order_bookkeeping():
-    assert ReducedJetPoly.from_poly(X).order() is None
+    assert ReducedJetPoly({(): X}).order() is None
     assert (u(3) * u(-5)).order() == 5
     rng = random.Random(35)
     for _ in range(40):
@@ -327,7 +349,7 @@ def test_monomials_are_sorted_variable_tuples():
 def test_jet_text_forms():
     assert str(reduced_J(u(0))) == "x*u[1] - y*u[-1]"
     assert str(u(0) ** 2) == "u[0]^2"
-    assert str(ReducedJetPoly.from_poly(Fraction(3, 2))) == "3/2"
+    assert str(ReducedJetPoly({(): Fraction(3, 2)})) == "3/2"
     assert str(ReducedJetPoly.zero()) == "0"
     assert str(uf(1, 1) - uf(0, 0)) == "u(1,1) - u(0,0)"
 
@@ -451,16 +473,16 @@ def test_squares_edge_cases(cls):
 
 @pytest.mark.parametrize("cls", [ReducedJetPoly, FreeJetPoly])
 def test_jet_without_variables_hashes_as_its_coefficient(cls):
-    # from_poly(p) == p, so the two must hash alike; a constant one also
+    # cls({(): p}) == p, so the two must hash alike; a constant one also
     # equals, and hashes as, its rational value.
     rng = random.Random(40)
     for _ in range(40):
         p = random_xypoly(rng)
-        jet = cls.from_poly(p)
+        jet = cls({(): p})
         assert jet == p and hash(jet) == hash(p)
         assert len({jet, p}) == 1
     for value in (0, 3, Fraction(-2, 7)):
-        jet = cls.from_poly(value)
+        jet = cls({(): value})
         assert jet == value and hash(jet) == hash(value)
         assert len({jet, XYPoly.constant(value), value}) == 1
     assert len({cls.zero(), XYPoly.zero(), 0}) == 1

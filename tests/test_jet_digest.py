@@ -27,7 +27,7 @@ def _random_free_jet(rng):
     with the ring operations."""
     p = FreeJetPoly.zero()
     for _ in range(rng.randint(0, 4)):
-        term = FreeJetPoly.from_poly(random_xypoly(rng, allow_zero=False))
+        term = FreeJetPoly({(): random_xypoly(rng, allow_zero=False)})
         for _ in range(rng.randint(0, 3)):
             a = rng.randint(0, 3)
             term = term * FreeJetPoly.var(a, rng.randint(0, 3 - a))

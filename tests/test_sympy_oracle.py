@@ -2,7 +2,8 @@
 are applied to a generic function g(x, y), and on monomials of high order
 compared through operator symbols; the Euler operator is compared with
 sympy's Euler-Lagrange equations and the free total derivatives with
-sympy's derivatives in x and y, and the exact kernel and rank are compared
+sympy's derivatives in x and y, the products of XYPolys with sympy's
+expansion, and the exact kernel and rank are compared
 with sympy's own on random sparse rational matrices, and the pivot rows of
 the elimination in a given column order with sympy's rref."""
 
@@ -37,6 +38,40 @@ def _adjoint_applied(op, f):
     """sum over terms of (-1)^(p+q) Dx^p Dy^q (a_pq f)."""
     return sum(((-1) ** (p + q) * sympy.diff(_poly(c) * f, x, p, y, q)
                 for (p, q), c in op.terms.items()), sympy.Integer(0))
+
+
+def _random_factor(rng):
+    """An XYPoly of at least two terms, some coefficients Fractions."""
+    while True:
+        p = XYPoly({(rng.randint(0, 3), rng.randint(0, 3)):
+                    Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+                    for _ in range(rng.randint(2, 5))})
+        if len(p.terms) >= 2:
+            return p
+
+
+def _poly_terms(expr):
+    """The nonzero coefficients of the sympy polynomial expr in x and y."""
+    return {monom: Fraction(int(c.p), int(c.q))
+            for monom, c in sympy.Poly(expr, x, y).terms() if c}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_xypoly_product_matches_sympy(seed):
+    # Neither factor has one term, so no product takes the one-term shift;
+    # integral coefficients, sums of Fractions too, come back as ints.
+    rng = random.Random(3000 + seed)
+    half = Fraction(1, 2)
+    pairs = [(_random_factor(rng), _random_factor(rng)) for _ in range(20)]
+    pairs.append((XYPoly({(1, 0): half, (0, 1): half}),
+                  XYPoly({(1, 0): 1, (0, 1): 1})))
+    for p, q in pairs:
+        product = p * q
+        assert product.terms == _poly_terms(sympy.expand(_poly(p) * _poly(q)))
+        assert q * p == product
+        for c in product.terms.values():
+            assert type(c) is (int if c.denominator == 1 else Fraction)
+    assert product.terms == {(2, 0): half, (1, 1): 1, (0, 2): half}
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -162,7 +197,7 @@ def _sympy_matrix(entries):
 @pytest.mark.parametrize("seed", range(10))
 def test_nullspace_and_rank_match_sympy(seed):
     for entries in _shapes(seed):
-        m = RationalMatrix.from_rows(entries)
+        m = RationalMatrix(entries)
         expected = [[Fraction(int(v.p), int(v.q)) for v in vec]
                     for vec in _sympy_matrix(entries).nullspace()]
         assert nullspace(m) == expected
