@@ -62,16 +62,16 @@ def test_xypoly_product_matches_sympy(seed):
     # integral coefficients, sums of Fractions too, come back as ints.
     rng = random.Random(3000 + seed)
     half = Fraction(1, 2)
+    halves = XYPoly({(1, 0): half, (0, 1): half})
+    ones = XYPoly({(1, 0): 1, (0, 1): 1})
     pairs = [(_random_factor(rng), _random_factor(rng)) for _ in range(20)]
-    pairs.append((XYPoly({(1, 0): half, (0, 1): half}),
-                  XYPoly({(1, 0): 1, (0, 1): 1})))
-    for p, q in pairs:
+    for p, q in [*pairs, (halves, ones)]:
         product = p * q
         assert product.terms == _poly_terms(sympy.expand(_poly(p) * _poly(q)))
         assert q * p == product
         for c in product.terms.values():
             assert type(c) is (int if c.denominator == 1 else Fraction)
-    assert product.terms == {(2, 0): half, (1, 1): 1, (0, 2): half}
+    assert (halves * ones).terms == {(2, 0): half, (1, 1): 1, (0, 2): half}
 
 
 @pytest.mark.parametrize("seed", range(12))
