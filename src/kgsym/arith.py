@@ -2,8 +2,8 @@
 in x and y, and exact rational linear algebra. The linear algebra is one
 fraction-free elimination on sparse integer rows, echelon, in a column order
 the caller may give and with no blocks or components to find; sparse_kernel
-and terms_rank read off it, and nullspace and rank are its dense front ends
-for a RationalMatrix.
+and rank read off it, and nullspace is its one dense front end, for a
+RationalMatrix.
 
 Everything here is exact; no floating point is used anywhere in the package.
 """
@@ -461,7 +461,7 @@ def sparse_kernel(images):
     return [{**vec, f: 1} for f, vec in kernel.items()]
 
 
-def terms_rank(rows) -> int:
+def rank(rows) -> int:
     """Exact rank of term maps read as the rows of a matrix over the union
     of their keys: the number of pivots of their elimination."""
     return len(echelon(rows))
@@ -474,17 +474,11 @@ def nullspace(m: RationalMatrix):
     Each basis vector carries a unit entry in its own free column and zeros in
     every other free column; vectors are ordered by ascending free-column
     index. The empty list signals a trivial kernel. The package solves
-    through sparse_kernel; this dense front end remains because the sympy
-    oracle tests compare it with sympy's nullspace and the benchmark tracer
-    wraps it by name."""
+    through sparse_kernel and ranks term maps with rank; this dense front
+    end remains because the sympy oracle tests compare it with sympy's
+    nullspace and the benchmark tracer wraps it by name."""
     columns = [{r: row[c] for r, row in enumerate(m.entries)}
                for c in range(m.cols)]
     return [[vec.get(c, 0) for c in range(m.cols)]
             for vec in sparse_kernel(columns)]
 
-
-def rank(m: RationalMatrix) -> int:
-    """Exact rank of m: the pivot count of the elimination of its rows.
-    Like nullspace, a dense front end kept for the sympy oracle tests and
-    the benchmark tracer."""
-    return terms_rank(dict(enumerate(row)) for row in m.entries)

@@ -81,8 +81,7 @@ def _result_lines(result: dict):
         yield f"T: {result['T']}"
         yield f"X: {result['X']}"
         yield f"order: {result['order']}"
-        if result.get("characteristic") is not None:
-            yield f"characteristic: {result['characteristic']}"
+        yield f"characteristic: {result['characteristic']}"
     elif kind == "verification":
         for check in result["checks"]:
             yield verify.CheckResult(**check).line()
@@ -223,9 +222,8 @@ def _cmd_current(args: dict) -> Report:
         arguments = {"family": family, "kp": str(kp), "lp": str(lp)}
     result = {"kind": "current", "family": current.family,
               "T": str(current.t), "X": str(current.x),
-              "order": str(current.order)}
-    if current.characteristic is not None:
-        result["characteristic"] = str(current.characteristic)
+              "order": str(current.order),
+              "characteristic": str(current.characteristic)}
     return Report(command="current", arguments=arguments, result=result,
                   verified={"divergence_free": True, "order_matches": True})
 

@@ -49,13 +49,13 @@ def _component_order(t: ReducedJetPoly, x: ReducedJetPoly) -> int:
 
 
 class ConservedCurrent(Record):
-    """A verified conserved current (T, X) with its recorded order.
+    """A verified conserved current (T, X), its order and characteristic.
 
     T and X are the reduced (on-shell) components."""
     __slots__ = ("family", "t", "x", "order", "characteristic")
 
     def __init__(self, family: str, t: ReducedJetPoly, x: ReducedJetPoly,
-                 order: int, characteristic: ReducedJetPoly | None = None):
+                 order: int, characteristic: ReducedJetPoly):
         if family not in CURRENT_FAMILIES:
             raise ValueError(f"unknown current family {family!r}")
         div = onshell_divergence(t, x)

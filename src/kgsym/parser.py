@@ -8,17 +8,17 @@ Printing either kind of value yields text that parses back to an equal value.
 
 While parsing, a value is a flat term map {(key, i, j): c}, the sum of the
 monomials c * x^i * y^j * key, where key is the derivative orders (p, q) of
-Dx^p Dy^q or the sorted jet variables; J is x*Dx - y*Dy. + and - add into
-the map, and a product of two maps is their distributed product. Operator
-monomials multiply by opalg.monomial_product, the package's one Leibniz
-rule, in closed form (Dx*x = x*Dx + 1), and jet monomials by
-jet.monomial_product. A power of one monomial multiplies its exponents,
-unless it mixes derivatives with x or y or holds more than MAX_EXPONENT
-jet variables; any other power, such as (x + y)^2, is that many products.
-Products, and the size of the coefficients they multiply out, are charged
-to one work budget per parse, MAX_WORK; a bound on the Leibniz factors of a
-product is charged before they are built. The map becomes a value once, at
-the end, so no parse makes a ring operation.
+Dx^p Dy^q or the sorted jet variables; J is the flat map of TDOperator.j(),
+x*Dx - y*Dy. + and - add into the map, and a product of two maps is their
+distributed product. Operator monomials multiply by opalg.monomial_product,
+the package's one Leibniz rule, in closed form (Dx*x = x*Dx + 1), and jet
+monomials by jet.monomial_product. A power of one monomial multiplies its
+exponents, unless it mixes derivatives with x or y or holds more than
+MAX_EXPONENT jet variables; any other power, such as (x + y)^2, is that
+many products. Products, and the size of the coefficients they multiply
+out, are charged to one work budget per parse, MAX_WORK; a bound on the
+Leibniz factors of a product is charged before they are built. The map
+becomes a value once, at the end, so no parse makes a ring operation.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import jet, opalg
-from .arith import accumulate, as_rational, grouped, neg_terms
+from .arith import accumulate, as_rational, flat, grouped, neg_terms
 from .jet import FIELDS, ReducedJetPoly
 from .opalg import TDOperator
 
@@ -288,7 +288,7 @@ class _OperatorParser(_Parser):
         if name == "Dy":
             return {((0, 1), 0, 0): 1}
         if name == "J":
-            return {((1, 0), 1, 0): 1, ((0, 1), 0, 1): -1}
+            return flat(TDOperator.j())
         return None
 
     def cost(self, a, b):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .arith import echelon, flat, grouped, sparse_kernel, terms_rank
+from .arith import echelon, flat, grouped, rank, sparse_kernel
 from .jet import (ReducedJetPoly, eval_exp_family, prolonged_action,
                   require_field_u)
 from .record import Record
@@ -112,9 +112,9 @@ def graded_dimension(n: int, d: int) -> int:
     """Dimension of the order-exactly-n layer, needs d >= n: by rank-nullity
     the rank of the |k| = n parts of the (n, d) solutions, since those with
     no u_(+-n) term are the (n - 1, d) solutions."""
-    return terms_rank([{u: c for u, c in flat(eta).items()
-                        if abs(u[0][0][1]) == n}
-                       for eta in solve_linear_determining(n, d).elements])
+    return rank([{u: c for u, c in flat(eta).items()
+                  if abs(u[0][0][1]) == n}
+                 for eta in solve_linear_determining(n, d).elements])
 
 
 def chain_dimensions(rows, max_order: int):
@@ -154,4 +154,4 @@ def independence_rank(basis) -> int:
             raise ValueError("independence test expects characteristics "
                              "linear in the jets")
         evals.append(eval_exp_family(eta))
-    return terms_rank(evals)
+    return rank(evals)

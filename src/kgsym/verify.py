@@ -52,15 +52,6 @@ def basis_words(orders, max_index=None):
             if max_index is None or max(k, l) <= max_index]
 
 
-def _minimal(table, family, kp, lp):
-    """current_minimal(family, kp, lp), taken out of run_all's table if
-    check_conservation left it there, else built: a current leaves the
-    table with the last check to read it, so none is held longer."""
-    if table and (family, kp, lp) in table:
-        return table.pop((family, kp, lp))
-    return current_minimal(family, kp, lp)
-
-
 def _word_images(max_order: int):
     """The reduced images of the basis words of order <= max_order; the
     (n + 1)^2 of order <= n come first."""
@@ -178,7 +169,7 @@ def check_conservation(*, _table=None) -> CheckResult:
     characteristic passes the Euler test. ConservedCurrent itself checks the
     on-shell divergence and the components' order, so Ctilde, whose order is
     read off its components, has no order to compare here. Each minimal
-    current it builds stays in run_all's table for the checks after it."""
+    current it builds stays in run_all's table for check_counting."""
     def constructed():
         yield "C0", current_C0(), 1
         yield "C0bar", current_C0(barred=True), 1
@@ -202,12 +193,12 @@ def check_conservation(*, _table=None) -> CheckResult:
     return _checked("conservation", failures, f"{count} currents verified")
 
 
-def check_generating_action(*, _table=None) -> CheckResult:
+def check_generating_action() -> CheckResult:
     """Acting on the generating current (-u^2, u_x^2) reproduces the uniform
     currents of the skew basis operators with k + l <= 3 and the barred
     superposition current componentwise."""
     failures = []
-    generating = _minimal(_table, "C2", 0, 0)
+    generating = current_minimal("C2", 0, 0)
     half = Fraction(1, 2)
     for label, _, op in basis_words((1, 3)):
         eta = apply_operator_reduced(op).total_derivative("y") * half
@@ -228,12 +219,16 @@ def check_generating_action(*, _table=None) -> CheckResult:
 
 def check_counting(max_order: int = 5, *, _table=None) -> CheckResult:
     """For n from 2 to max(max_order, 2): 4n - 1 verified minimal currents of
-    order n, with characteristics independent on the exponential family."""
+    order n, with characteristics independent on the exponential family.
+    Each current is taken out of run_all's table if check_conservation left
+    it there, else built, so none is held longer than this check reads it."""
+    shared = _table or {}
     failures = []
     counts = []
     for n in range(2, max(max_order, 2) + 1):
         characteristics = [
-            _minimal(_table, *member).characteristic
+            (shared.pop(member) if member in shared
+             else current_minimal(*member)).characteristic
             for member in minimal_family_members(n)]
         count = len(characteristics)
         counts.append(f"n={n}: {count}")
@@ -324,9 +319,9 @@ def check_parser_round_trip() -> CheckResult:
 
 
 def run_all(max_order: int = 5):
-    """Run the full verification suite in its fixed order. Its checks build
-    each minimal current once, and share them through a table that lives
-    for this call only."""
+    """Run the full verification suite in its fixed order. Conservation
+    and counting build each of their minimal currents once, and share them
+    through a table that lives for this call only."""
     table = {}
     return [
         check_dimension_tables(max_order),
@@ -336,7 +331,7 @@ def run_all(max_order: int = 5):
         check_variational_parity(),
         check_reduced_lift_remark(),
         check_conservation(_table=table),
-        check_generating_action(_table=table),
+        check_generating_action(),
         check_counting(max_order, _table=table),
         check_independence(max_order),
         check_parser_round_trip(),

@@ -1,4 +1,5 @@
-"""Tests for exact rationals, bivariate polynomials and the nullspace."""
+"""Tests for exact rationals, bivariate polynomials, the nullspace and the
+rank of term maps."""
 
 import random
 from fractions import Fraction
@@ -107,15 +108,20 @@ def test_nullspace_properties_randomized(seed):
     for vec in basis:
         for row in m.entries:
             assert sum(a * v for a, v in zip(row, vec)) == 0
-    assert rank(m) + len(basis) == cols
-    if basis:
-        stacked = RationalMatrix(basis)
-        assert rank(stacked) == len(basis)
+    assert rank(_term_rows(m.entries)) + len(basis) == cols
+    assert rank(_term_rows(basis)) == len(basis)
+
+
+def _term_rows(entries):
+    """The dense rows entries as term maps {column: value}, zeros left out."""
+    return [{c: v for c, v in enumerate(row) if v} for row in entries]
 
 
 def test_rank_of_zero_and_full():
-    assert rank(RationalMatrix([[0, 0], [0, 0]])) == 0
-    assert rank(RationalMatrix([[2, 0], [0, Fraction(1, 3)]])) == 2
+    assert rank(_term_rows([[0, 0], [0, 0]])) == 0
+    assert rank([{}, {}]) == rank([]) == 0
+    assert rank(_term_rows([[2, 0], [0, Fraction(1, 3)]])) == 2
+    assert rank([{"a": 1, "b": 2}, {"a": Fraction(1, 2), "b": 1}]) == 1
 
 
 def test_matrix_dimension_validation():

@@ -290,7 +290,7 @@ def _stub_work(monkeypatch):
                         record(SimpleNamespace(dim=0, elements=[])))
     monkeypatch.setattr(cli.verify, "basis_op", record("op"))
     monkeypatch.setattr(cli, "current_minimal", record(SimpleNamespace(
-        family="C2", t="t", x="x", order=0, characteristic=None)))
+        family="C2", t="t", x="x", order=0, characteristic="c")))
     return seen
 
 

@@ -240,19 +240,32 @@ def test_skew_characteristics_pass_euler_test():
 
 
 def test_conserved_current_constructor_rejects_bad_pairs():
+    eta = u(0)
     with pytest.raises(ValueError, match="not conserved"):
-        ConservedCurrent(family="C0", t=u(0), x=u(0), order=0)
+        ConservedCurrent(family="C0", t=u(0), x=u(0), order=0,
+                         characteristic=eta)
     with pytest.raises(ValueError):
-        ConservedCurrent(family="C2", t=-u(0) * u(0), x=u(1) * u(1), order=2)
+        ConservedCurrent(family="C2", t=-u(0) * u(0), x=u(1) * u(1), order=2,
+                         characteristic=eta)
     with pytest.raises(ValueError):
-        ConservedCurrent(family="bogus", t=-u(0) * u(0), x=u(1) * u(1), order=1)
+        ConservedCurrent(family="bogus", t=-u(0) * u(0), x=u(1) * u(1),
+                         order=1, characteristic=eta)
     # the same checks run when the fields are given by position
     with pytest.raises(ValueError, match="not conserved"):
-        ConservedCurrent("C0", u(0), u(0), 0)
+        ConservedCurrent("C0", u(0), u(0), 0, eta)
     with pytest.raises(ValueError, match="declared order 2"):
-        ConservedCurrent("C2", -u(0) * u(0), u(1) * u(1), 2)
+        ConservedCurrent("C2", -u(0) * u(0), u(1) * u(1), 2, eta)
     with pytest.raises(ValueError, match="unknown current family"):
-        ConservedCurrent("bogus", -u(0) * u(0), u(1) * u(1), 1)
+        ConservedCurrent("bogus", -u(0) * u(0), u(1) * u(1), 1, eta)
+
+
+def test_conserved_current_requires_a_characteristic():
+    # Every current records its characteristic; there is no default.
+    t, x = f(0) * u(-1), -f(1) * u(0)
+    with pytest.raises(TypeError, match="'characteristic'"):
+        ConservedCurrent("C0", t, x, 1)
+    with pytest.raises(TypeError, match="'characteristic'"):
+        ConservedCurrent(family="C0", t=t, x=x, order=1)
 
 
 def test_onshell_divergence_is_the_sum_of_total_derivatives():
@@ -281,7 +294,7 @@ def test_onshell_divergence_of_fields_with_integral_coefficients():
 
 def test_not_conserved_rejection_text():
     with pytest.raises(ValueError) as excinfo:
-        ConservedCurrent("C0", u(0) ** 2 * Fraction(1, 3), u(1), 1)
+        ConservedCurrent("C0", u(0) ** 2 * Fraction(1, 3), u(1), 1, u(0))
     assert str(excinfo.value) == ("current is not conserved on shell; "
                                   "divergence = 2/3*u[1]*u[0] + u[0]")
 
@@ -523,7 +536,6 @@ def test_conserved_current_record_contract():
     assert by_position == c
     assert hash(by_position) == hash(c)
     assert repr(c) == C0_REPR
-    assert ConservedCurrent("C0", t, x, 1).characteristic is None
     assert c != current_C0(barred=True)
     assert c != (c.family, c.t, c.x, c.order, c.characteristic)
     for name in ("family", "t", "order", "characteristic", "other"):

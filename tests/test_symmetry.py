@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kgsym import symmetry
-from kgsym.arith import XYPoly, sparse_kernel, terms_rank
+from kgsym.arith import XYPoly, rank, sparse_kernel
 from kgsym.jet import ReducedJetPoly, apply_operator_reduced, reduced_J
 from kgsym.opalg import monomial_op
 from kgsym.symmetry import (DeterminingSystem, SymmetryBasis,
@@ -123,7 +123,7 @@ def test_blocked_solve_equals_dense_kernel(n, d):
     kernel = sparse_kernel(system.images)
     matrix = _sympy_matrix(system.images)
     assert kernel == _dense_kernel(matrix)
-    assert terms_rank(system.images) == matrix.rank()
+    assert rank(system.images) == matrix.rank()
     expected = []
     for vec in kernel:
         eta = ReducedJetPoly.zero()
@@ -173,7 +173,7 @@ def test_sparse_kernel_equals_dense_kernel(name):
     kernel = sparse_kernel(images)
     matrix = _sympy_matrix(images)
     assert kernel == _dense_kernel(matrix)
-    assert terms_rank(images) == matrix.rank()
+    assert rank(images) == matrix.rank()
     for vec in kernel:
         assert list(vec) == sorted(vec)
 

@@ -3,9 +3,10 @@ are applied to a generic function g(x, y), and on monomials of high order
 compared through operator symbols; the Euler operator is compared with
 sympy's Euler-Lagrange equations and the free total derivatives with
 sympy's derivatives in x and y, the products of XYPolys with sympy's
-expansion, and the exact kernel and rank are compared
-with sympy's own on random sparse rational matrices, and the pivot rows of
-the elimination in a given column order with sympy's rref."""
+expansion, and the exact kernel of a dense matrix and the rank of its rows
+as term maps are compared with sympy's own on random sparse rational
+matrices, and the pivot rows of the elimination in a given column order
+with sympy's rref."""
 
 import random
 from fractions import Fraction
@@ -201,7 +202,8 @@ def test_nullspace_and_rank_match_sympy(seed):
         expected = [[Fraction(int(v.p), int(v.q)) for v in vec]
                     for vec in _sympy_matrix(entries).nullspace()]
         assert nullspace(m) == expected
-        assert rank(m) == _sympy_matrix(entries).rank()
+        rows = [{c: v for c, v in enumerate(row) if v} for row in entries]
+        assert rank(rows) == _sympy_matrix(entries).rank()
 
 
 @pytest.mark.parametrize("seed", range(10))

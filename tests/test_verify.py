@@ -228,7 +228,11 @@ def test_run_all_solves_once_and_builds_each_current_once(monkeypatch):
     monkeypatch.setattr(verify, "current_minimal", counted_minimal)
     verify.run_all(5)
     assert assembled == [(5, 8)]
-    assert len(built) == len(set(built)) == 55
+    # 55 minimal currents, each built once, and the generating action's own
+    # C2[0,0]
+    assert len(set(built)) == 55
+    assert len(built) == 56
+    assert built.count(("C2", 0, 0)) == 2
     # The shared currents live for one run_all call only.
     built.clear()
     verify.check_counting(max_order=2)
@@ -236,15 +240,26 @@ def test_run_all_solves_once_and_builds_each_current_once(monkeypatch):
 
 
 def test_run_all_share_protocol(monkeypatch):
-    # Conservation leaves each minimal current it builds in the table; the
-    # generating action and counting, the last to read them, take theirs
-    # out and read the very objects conservation built.
+    # Conservation leaves each minimal current it builds in the table;
+    # counting, the one check that reads them, takes out those of its own
+    # orders and reads the very objects conservation built. The generating
+    # action builds its own C2[0,0] and never touches the table.
     members = {n: minimal_family_members(n) for n in range(1, 5)}
     table = {}
     assert verify.check_conservation(_table=table).passed
     assert list(table) == [m for n in range(1, 5) for m in members[n]]
     assert len(table) == 36
     built = dict(table)
+    generated = []
+
+    def counted(*member):
+        generated.append(member)
+        return current_minimal(*member)
+    monkeypatch.setattr(verify, "current_minimal", counted)
+    assert verify.check_generating_action().passed
+    assert generated == [("C2", 0, 0)]
+    assert list(table) == list(built)
+    assert all(table[m] is built[m] for m in built)
 
     def rebuilt(*member):
         raise AssertionError(f"{member} built twice")
@@ -255,12 +270,9 @@ def test_run_all_share_protocol(monkeypatch):
         return len(characteristics)
     monkeypatch.setattr(verify, "current_minimal", rebuilt)
     monkeypatch.setattr(verify, "independence_rank", recorded_rank)
-    assert verify.check_generating_action(_table=table).passed
-    assert ("C2", 0, 0) not in table and len(table) == 35
     assert verify.check_counting(max_order=3, _table=table).passed
-    assert list(table) == [m for n in (1, 4) for m in members[n]
-                           if m != ("C2", 0, 0)]
-    assert len(table) == 17
+    assert list(table) == [m for n in (1, 4) for m in members[n]]
+    assert len(table) == 18
     assert len(ranked) == 2
     for n, characteristics in zip((2, 3), ranked):
         assert len(characteristics) == len(members[n])
