@@ -289,10 +289,6 @@ class XYPoly(TermMap):
         return cls({(0, 0): 1})
 
     @classmethod
-    def constant(cls, value) -> "XYPoly":
-        return cls({(0, 0): value})
-
-    @classmethod
     def variable(cls, name: str) -> "XYPoly":
         if name == "x":
             return cls({(1, 0): 1})
@@ -363,7 +359,7 @@ class XYPoly(TermMap):
 def poly_coefficient(value) -> XYPoly:
     """value as an XYPoly coefficient; TypeError unless it is an XYPoly or a
     rational constant."""
-    return value if isinstance(value, XYPoly) else XYPoly.constant(value)
+    return value if isinstance(value, XYPoly) else XYPoly({(0, 0): value})
 
 
 class RationalMatrix:

@@ -293,11 +293,6 @@ class FreeJetPoly(_JetPoly):
             raise ValueError("derivative orders must be nonnegative")
         return a, b
 
-    @classmethod
-    def var(cls, a: int, b: int) -> "FreeJetPoly":
-        """The coordinate u_(a,b) = d^a/dx^a d^b/dy^b u."""
-        return cls({((a, b),): XYPoly.one()})
-
     def partial(self, a: int, b: int) -> "FreeJetPoly":
         return _partial(self, self._variable((a, b)))
 

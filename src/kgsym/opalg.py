@@ -73,22 +73,9 @@ class TDOperator(TermMap):
         return cls({(0, 0): XYPoly.one()})
 
     @classmethod
-    def dx(cls) -> "TDOperator":
-        return cls({(1, 0): XYPoly.one()})
-
-    @classmethod
-    def dy(cls) -> "TDOperator":
-        return cls({(0, 1): XYPoly.one()})
-
-    @classmethod
     def j(cls) -> "TDOperator":
         """The dilation generator x*Dx - y*Dy."""
         return cls({(1, 0): _X, (0, 1): -_Y})
-
-    @classmethod
-    def mul_by(cls, poly) -> "TDOperator":
-        """Multiplication operator by a polynomial (or constant)."""
-        return cls({(0, 0): poly})
 
     def order(self) -> int:
         """Highest total derivative order; -1 for the zero operator."""
@@ -155,7 +142,7 @@ def commutator(a: TDOperator, b: TDOperator) -> TDOperator:
 
 def kg_operator() -> TDOperator:
     """The light-cone Klein-Gordon operator Dx*Dy - 1."""
-    return TDOperator({(1, 1): XYPoly.one(), (0, 0): XYPoly.constant(-1)})
+    return TDOperator({(1, 1): 1, (0, 0): -1})
 
 
 def basis_op(kind: str, k: int, l: int) -> TDOperator:

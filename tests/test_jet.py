@@ -23,7 +23,7 @@ def u(k):
 
 
 def uf(a, b):
-    return FreeJetPoly.var(a, b)
+    return FreeJetPoly({((a, b),): 1})
 
 
 def random_free_jet(rng, max_order=3, max_degree=2, max_terms=4):
@@ -167,7 +167,8 @@ def test_eval_exp_family_examples():
 @pytest.mark.parametrize("call, message", [
     (lambda: u(0).total_derivative("z"), "unknown variable 'z'"),
     (lambda: uf(0, 0).total_derivative("z"), "unknown variable 'z'"),
-    (lambda: FreeJetPoly.var(-1, 0), "derivative orders must be nonnegative"),
+    (lambda: FreeJetPoly({((-1, 0),): 1}),
+     "derivative orders must be nonnegative"),
 ], ids=["reduced_total_derivative", "free_total_derivative", "free_var"])
 def test_jet_argument_errors(call, message):
     with pytest.raises(ValueError) as excinfo:
@@ -304,7 +305,7 @@ def test_multifield_chain_rule_randomized():
 
 
 def test_apply_operator_free():
-    op = TDOperator({(2, 1): X, (0, 0): XYPoly.constant(-1)})
+    op = TDOperator({(2, 1): X, (0, 0): XYPoly({(0, 0): -1})})
     assert apply_operator_free(op) == uf(2, 1) * X - uf(0, 0)
 
 
@@ -324,7 +325,7 @@ def _canonical(p, is_var):
 
 def test_monomials_are_sorted_variable_tuples():
     assert ReducedJetPoly.var("u", 2).terms == {(("u", 2),): XYPoly.one()}
-    assert FreeJetPoly.var(1, 0).terms == {((1, 0),): XYPoly.one()}
+    assert FreeJetPoly({((1, 0),): 1}).terms == {((1, 0),): XYPoly.one()}
     # unsorted and repeated-variable input is the product of its variables
     assert (ReducedJetPoly({(("u", 1), ("f", 0), ("u", 0), ("u", 1)): 3})
             == u(1) * ReducedJetPoly.var("f", 0) * u(0) * u(1) * 3)
@@ -484,5 +485,5 @@ def test_jet_without_variables_hashes_as_its_coefficient(cls):
     for value in (0, 3, Fraction(-2, 7)):
         jet = cls({(): value})
         assert jet == value and hash(jet) == hash(value)
-        assert len({jet, XYPoly.constant(value), value}) == 1
+        assert len({jet, XYPoly({(0, 0): value}), value}) == 1
     assert len({cls.zero(), XYPoly.zero(), 0}) == 1

@@ -30,7 +30,7 @@ def _random_free_jet(rng):
         term = FreeJetPoly({(): random_xypoly(rng, allow_zero=False)})
         for _ in range(rng.randint(0, 3)):
             a = rng.randint(0, 3)
-            term = term * FreeJetPoly.var(a, rng.randint(0, 3 - a))
+            term = term * FreeJetPoly({((a, rng.randint(0, 3 - a)),): 1})
         p = p + term
     return p
 

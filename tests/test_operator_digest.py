@@ -39,7 +39,7 @@ def _operator_lines():
             coefficient = XYPoly({(i, 5 - i): 3})
             derivative = TDOperator({(p, 5 - p): 1})
             yield _line(f"grid {p} {i}", derivative.compose(
-                TDOperator.mul_by(coefficient)))
+                TDOperator({(0, 0): coefficient})))
             yield _line(f"grid adjoint {p} {i}",
                         TDOperator({(p, 5 - p): coefficient}).adjoint())
 

@@ -46,8 +46,8 @@ def test_zero_parses():
 
 def test_unary_signs():
     assert parse_jet("-u[0]^2") == -(ReducedJetPoly.var("u", 0) ** 2)
-    assert parse_operator("-Dx") == -TDOperator.dx()
-    assert parse_operator("+Dx") == TDOperator.dx()
+    assert parse_operator("-Dx") == -TDOperator({(1, 0): 1})
+    assert parse_operator("+Dx") == TDOperator({(1, 0): 1})
 
 
 def test_syntax_errors_carry_positions():
@@ -105,8 +105,8 @@ def test_exponent_bound():
 
 def test_integer_digit_bound():
     nines = "9" * MAX_DIGITS
-    assert parse_operator(f"x*{nines}") == TDOperator.mul_by(
-        XYPoly({(1, 0): int(nines)}))
+    assert parse_operator(f"x*{nines}") == TDOperator(
+        {(0, 0): XYPoly({(1, 0): int(nines)})})
     too_long = "9" * 5000
     for parse, text, position in ((parse_operator, f"Dx^{too_long}", 3),
                                   (parse_operator, f"x*{too_long}", 2),
@@ -154,7 +154,7 @@ def test_jet_round_trip_randomized():
 
 def test_round_trip_awkward_coefficients():
     op = TDOperator({(1, 0): XYPoly({(1, 1): Fraction(-3, 7), (0, 0): 1}),
-                     (0, 0): XYPoly.constant(Fraction(-1, 2))})
+                     (0, 0): XYPoly({(0, 0): Fraction(-1, 2)})})
     assert parse_operator(str(op)) == op
     p = ReducedJetPoly({(("u", -3), ("u", -3), ("f", 1)):
                         XYPoly({(0, 2): Fraction(5, 3), (1, 0): -2})})
@@ -195,10 +195,12 @@ def test_jet_index_bound():
 
 _X, _Y = XYPoly.variable("x"), XYPoly.variable("y")
 _RATIONALS = ("0", "1", "3", "4/2", "2/3", "3/2", "5/7")
-_OPERATOR_ATOMS = {"Dx": TDOperator.dx(), "Dy": TDOperator.dy(),
-                   "J": TDOperator.j(), "x": TDOperator.mul_by(_X),
-                   "y": TDOperator.mul_by(_Y),
-                   **{r: TDOperator.mul_by(Fraction(r)) for r in _RATIONALS}}
+_OPERATOR_ATOMS = {"Dx": TDOperator({(1, 0): 1}),
+                   "Dy": TDOperator({(0, 1): 1}),
+                   "J": TDOperator.j(), "x": TDOperator({(0, 0): _X}),
+                   "y": TDOperator({(0, 0): _Y}),
+                   **{r: TDOperator({(0, 0): Fraction(r)})
+                      for r in _RATIONALS}}
 _JET_ATOMS = {"x": ReducedJetPoly({(): _X}),
               "y": ReducedJetPoly({(): _Y}),
               **{f"{w}[{k}]": ReducedJetPoly.var(w, k)
@@ -267,16 +269,17 @@ def test_monomial_fold_matches_ring_operations(parse, atoms, seed):
 
 
 def test_monomial_fold_keeps_noncommuting_products():
-    dx, dy, j = TDOperator.dx(), TDOperator.dy(), TDOperator.j()
-    x, y = TDOperator.mul_by(_X), TDOperator.mul_by(_Y)
-    third = TDOperator.mul_by(Fraction(2, 3))
+    dx, dy = TDOperator({(1, 0): 1}), TDOperator({(0, 1): 1})
+    j = TDOperator.j()
+    x, y = TDOperator({(0, 0): _X}), TDOperator({(0, 0): _Y})
+    third = TDOperator({(0, 0): Fraction(2, 3)})
     for text, value in (("Dx*x", dx * x),
                         ("Dy^2*y^2*J", dy ** 2 * y ** 2 * j),
                         ("x*Dx*x", x * dx * x),
                         ("(x*Dx)^2", (x * dx) ** 2),
                         ("-(Dx*y^2)^3*x", -((dx * y ** 2) ** 3) * x),
                         ("(2/3*Dx)^3*x*3/2", (third * dx) ** 3 * x
-                         * TDOperator.mul_by(Fraction(3, 2))),
+                         * TDOperator({(0, 0): Fraction(3, 2)})),
                         ("Dx^2*Dy*x^3*y", dx ** 2 * dy * x ** 3 * y),
                         ("(Dx + 1)*x", (dx + TDOperator.identity()) * x)):
         _assert_same(parse_operator(text), value, text)
@@ -290,15 +293,15 @@ def test_leibniz_closed_form_matches_composition():
     # opalg.monomial_product, so this checks the parser's products against
     # TDOperator.compose, not the Leibniz rule itself;
     # test_sympy_oracle.py::test_leibniz_monomials_match_sympy checks that.
-    dx, dy = TDOperator.dx(), TDOperator.dy()
-    x, y = TDOperator.mul_by(_X), TDOperator.mul_by(_Y)
+    dx, dy = TDOperator({(1, 0): 1}), TDOperator({(0, 1): 1})
+    x, y = TDOperator({(0, 0): _X}), TDOperator({(0, 0): _Y})
     for p, q, i, j in itertools.product(range(6), repeat=4):
         value = dx ** p * dy ** q * x ** i * y ** j
         for text in (f"Dx^{p}*Dy^{q}*x^{i}*y^{j}",
                      f"(Dx^{p}*Dy^{q})*(x^{i}*y^{j})"):
             _assert_same(parse_operator(text), value, text)
-    left = TDOperator.mul_by(Fraction(2, 3)) * dx ** 2 * dy
-    right = TDOperator.mul_by(Fraction(3, 2)) * x ** 2 * y
+    left = TDOperator({(0, 0): Fraction(2, 3)}) * dx ** 2 * dy
+    right = TDOperator({(0, 0): Fraction(3, 2)}) * x ** 2 * y
     for text, value in (("(2/3*Dx^2*Dy)*(3/2*x^2*y)", left * right),
                         ("(x*Dx + Dy*y)^6", (x * dx + dy * y) ** 6)):
         _assert_same(parse_operator(text), value, text)
@@ -329,9 +332,9 @@ def test_monomial_fold_normalizes_coefficients():
 def test_sum_fold_products_of_sums():
     # Sums on either side of a derivative: a product folds when no left
     # derivative meets a right x or y, and composes by Leibniz otherwise.
-    dx, dy = TDOperator.dx(), TDOperator.dy()
-    x, y = TDOperator.mul_by(_X), TDOperator.mul_by(_Y)
-    one, half = TDOperator.identity(), TDOperator.mul_by(Fraction(1, 2))
+    dx, dy = TDOperator({(1, 0): 1}), TDOperator({(0, 1): 1})
+    x, y = TDOperator({(0, 0): _X}), TDOperator({(0, 0): _Y})
+    one, half = TDOperator.identity(), TDOperator({(0, 0): Fraction(1, 2)})
     for text, value in (("(x + Dx)*(y - Dy)", (x + dx) * (y - dy)),
                         ("Dx*(x + y)", dx * (x + y)),
                         ("(x + y)*Dx", (x + y) * dx),
@@ -356,7 +359,7 @@ def test_sum_fold_products_of_sums():
 
 
 def test_sum_fold_zero_sums():
-    dx, x = TDOperator.dx(), TDOperator.mul_by(_X)
+    dx, x = TDOperator({(1, 0): 1}), TDOperator({(0, 0): _X})
     zero, one = TDOperator.zero(), TDOperator.identity()
     for text, value in (("(x - x)*Dx", zero), ("Dx*(x - x)", zero),
                         ("0^0", one), ("(x - x)^0", one),
@@ -375,9 +378,10 @@ def test_sum_fold_zero_sums():
 
 
 def test_sum_fold_with_j_in_products():
-    dx, dy, j = TDOperator.dx(), TDOperator.dy(), TDOperator.j()
-    x, y = TDOperator.mul_by(_X), TDOperator.mul_by(_Y)
-    third = TDOperator.mul_by(Fraction(1, 3))
+    dx, dy = TDOperator({(1, 0): 1}), TDOperator({(0, 1): 1})
+    j = TDOperator.j()
+    x, y = TDOperator({(0, 0): _X}), TDOperator({(0, 0): _Y})
+    third = TDOperator({(0, 0): Fraction(1, 3)})
     for text, value in (("J", j), ("J*Dx", j * dx), ("Dx*J", dx * j),
                         ("x*J*y", x * j * y), ("J*x", j * x),
                         ("(J + x)*(J - Dy)", (j + x) * (j - dy)),

@@ -116,7 +116,8 @@ def test_leibniz_monomials_match_sympy(i):
         for p in range(6):
             expected = after_x
             for q in range(6):
-                op = TDOperator({(p, q): 1}).compose(TDOperator.mul_by(mono))
+                op = TDOperator({(p, q): 1}).compose(
+                    TDOperator({(0, 0): mono}))
                 assert _symbol(op) == expected, (p, q, i, j)
                 adjoint = TDOperator({(p, q): mono}).adjoint()
                 assert _symbol(adjoint) == (-1) ** (p + q) * expected, (

@@ -36,7 +36,7 @@ def _patched(monkeypatch, wrong):
                                    verify.check_adjoint_parity,
                                    verify.check_variational_parity])
 def test_wrong_word_is_named(monkeypatch, check):
-    _patched(monkeypatch, TDOperator.mul_by(XYPoly.variable("x")))
+    _patched(monkeypatch, TDOperator({(0, 0): XYPoly.variable("x")}))
     result = check()
     assert not result.passed
     assert result.detail == "Q[1,0]"
@@ -51,7 +51,7 @@ def test_dependent_words_lose_rank(monkeypatch):
 
 @pytest.mark.parametrize("wrong, detail", [
     (basis_op("Q", 0, 1), "words rank(1)=3!=4"),
-    (TDOperator.mul_by(XYPoly.variable("x")), "union rank(1)=5!=4")],
+    (TDOperator({(0, 0): XYPoly.variable("x")}), "union rank(1)=5!=4")],
     ids=["dependent_word", "word_outside_the_solved_basis"])
 def test_dimension_tables_compare_solved_basis_and_words(monkeypatch, wrong,
                                                          detail):
@@ -240,15 +240,16 @@ def test_run_all_solves_once_and_builds_each_current_once(monkeypatch):
 
 
 def test_run_all_share_protocol(monkeypatch):
-    # Conservation leaves each minimal current it builds in the table;
-    # counting, the one check that reads them, takes out those of its own
-    # orders and reads the very objects conservation built. The generating
-    # action builds its own C2[0,0] and never touches the table.
+    # Conservation leaves each minimal current of orders 2 to 4 that it
+    # builds in the table; counting, the one check that reads them, starts
+    # at order 2, takes out those of its own orders and reads the very
+    # objects conservation built. The generating action builds its own
+    # C2[0,0] and never touches the table.
     members = {n: minimal_family_members(n) for n in range(1, 5)}
     table = {}
     assert verify.check_conservation(_table=table).passed
-    assert list(table) == [m for n in range(1, 5) for m in members[n]]
-    assert len(table) == 36
+    assert list(table) == [m for n in range(2, 5) for m in members[n]]
+    assert len(table) == 33
     built = dict(table)
     generated = []
 
@@ -270,11 +271,15 @@ def test_run_all_share_protocol(monkeypatch):
         return len(characteristics)
     monkeypatch.setattr(verify, "current_minimal", rebuilt)
     monkeypatch.setattr(verify, "independence_rank", recorded_rank)
-    assert verify.check_counting(max_order=3, _table=table).passed
-    assert list(table) == [m for n in (1, 4) for m in members[n]]
-    assert len(table) == 18
-    assert len(ranked) == 2
-    for n, characteristics in zip((2, 3), ranked):
+    partial = dict(table)
+    assert verify.check_counting(max_order=3, _table=partial).passed
+    assert list(partial) == members[4]
+    assert len(partial) == 15
+    ranked.clear()
+    assert verify.check_counting(max_order=4, _table=table).passed
+    assert table == {}
+    assert len(ranked) == 3
+    for n, characteristics in zip((2, 3, 4), ranked):
         assert len(characteristics) == len(members[n])
         for eta, member in zip(characteristics, members[n]):
             assert eta is built[member].characteristic
