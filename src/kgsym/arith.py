@@ -233,9 +233,6 @@ class TermMap:
         return from_terms(type(self),
                           accumulate(dict(self.terms), terms.items()))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -161,9 +161,9 @@ class _JetPoly(TermMap):
     sorted tuple of its jet variables, each repeated as often as its
     exponent says; the empty tuple is the constant monomial, so an XYPoly
     or a rational is the polynomial holding it there. Each class checks one
-    jet variable in _variable, behind the constructor, var, partial and
-    coefficient. The ring operations, partial, total_derivative and __str__
-    are own members of each class."""
+    jet variable in _variable, behind the constructor, var and partial.
+    The ring operations, partial, total_derivative and __str__ are own
+    members of each class."""
 
     __slots__ = ()
 
@@ -221,17 +221,13 @@ class ReducedJetPoly(_JetPoly):
     def fields(self):
         return {name for mono in self.terms for name, _ in mono}
 
-    def order(self):
-        """Max |k| over appearing jet variables; None when coefficient-only."""
-        indices = [abs(k) for (_, k) in self.jet_variables()]
-        return max(indices) if indices else None
+    def order(self) -> int:
+        """Max |k| over appearing jet variables; 0 when coefficient-only."""
+        return max((abs(k) for _, k in self.jet_variables()), default=0)
 
     def is_linear(self) -> bool:
         """Linear and homogeneous in the jet variables."""
         return all(len(mono) == 1 for mono in self.terms)
-
-    def coefficient(self, mono) -> XYPoly:
-        return self.terms.get(self._normalize_key(mono), XYPoly.zero())
 
     def partial(self, field: str, k: int) -> "ReducedJetPoly":
         """Partial derivative with respect to the jet variable (field, k)."""

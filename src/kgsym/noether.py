@@ -40,12 +40,12 @@ def is_variational_linear(a: TDOperator) -> bool:
     multiple of a, so the test runs on the integer one."""
     a = _integer_multiple(a)
     kg = kg_operator()
-    return (a.adjoint().compose(kg) + kg.compose(a)).is_zero()
+    return not (a.adjoint().compose(kg) + kg.compose(a))
 
 
 def _component_order(t: ReducedJetPoly, x: ReducedJetPoly) -> int:
-    """Max of the component orders; 0 when both are coefficient-only."""
-    return max(t.order() or 0, x.order() or 0)
+    """Max of the component orders (each 0 when coefficient-only)."""
+    return max(t.order(), x.order())
 
 
 class ConservedCurrent(Record):
@@ -158,7 +158,7 @@ def is_cl_characteristic(eta: ReducedJetPoly) -> bool:
     on the integer one."""
     lifted = lift(_integer_multiple(eta))
     equation = apply_operator_free(kg_operator())
-    return euler_operator(lifted * equation).is_zero()
+    return not euler_operator(lifted * equation)
 
 
 class CurrentCandidate(Record):
@@ -171,7 +171,7 @@ class CurrentCandidate(Record):
 
     @property
     def is_conserved(self) -> bool:
-        return self.divergence.is_zero()
+        return not self.divergence
 
 
 def symmetry_action_on_current(eta: ReducedJetPoly,

@@ -77,12 +77,6 @@ class TDOperator(TermMap):
         """The dilation generator x*Dx - y*Dy."""
         return cls({(1, 0): _X, (0, 1): -_Y})
 
-    def order(self) -> int:
-        """Highest total derivative order; -1 for the zero operator."""
-        if not self.terms:
-            return -1
-        return max(p + q for (p, q) in self.terms)
-
     def __add__(self, other):
         return self._plus(other)
 

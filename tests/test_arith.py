@@ -28,14 +28,14 @@ def test_difference_of_squares():
 
 def test_cancellation_gives_empty_term_map():
     result = X ** 2 - X ** 2
-    assert result.is_zero()
+    assert not result
     assert result.terms == {}
 
 
 def test_diff_examples():
     assert (X ** 2 * Y).diff("x") == 2 * X * Y
-    assert XYPoly({(0, 0): Fraction(7, 2)}).diff("y").is_zero()
-    assert (X ** 3).diff("y").is_zero()
+    assert not XYPoly({(0, 0): Fraction(7, 2)}).diff("y")
+    assert not (X ** 3).diff("y")
 
 
 def test_no_zero_coefficients_stored():
@@ -360,8 +360,9 @@ def test_term_map_value_contract(cls):
     assert [repr(key) for key in value.terms] == [repr(key) for key in clean]
     assert repr(value) == text
     zero = cls.zero()
-    assert not zero and zero.is_zero() and zero == cls(dict.fromkeys(raw, 0))
-    assert value and not value.is_zero() and value != zero
+    assert not zero and zero.terms == {}
+    assert zero == cls(dict.fromkeys(raw, 0))
+    assert value and value != zero
     copy = cls(dict(value.terms))
     assert copy == value and hash(copy) == hash(value)
     assert len({copy, value}) == 1

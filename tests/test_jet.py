@@ -64,7 +64,7 @@ def test_reduced_derivatives_commute():
 
 def test_reduced_J_examples():
     assert reduced_J(u(0)) == u(1) * X - u(-1) * Y
-    assert reduced_J(ReducedJetPoly.one()).is_zero()
+    assert not reduced_J(ReducedJetPoly.one())
     expected = (u(2) * X ** 2 - u(0) * X * Y * 2 + u(-2) * Y ** 2
                 + u(1) * X + u(-1) * Y)
     assert reduced_J(reduced_J(u(0))) == expected
@@ -73,7 +73,7 @@ def test_reduced_J_examples():
 def test_apply_operator_reduced():
     dx2dy = TDOperator({(2, 1): XYPoly.one()})
     assert apply_operator_reduced(dx2dy) == u(1)
-    assert apply_operator_reduced(kg_operator()).is_zero()
+    assert not apply_operator_reduced(kg_operator())
 
 
 def test_operator_application_matches_reduced_dilation():
@@ -101,8 +101,8 @@ def test_euler_operator_annihilates_divergences():
     rng = random.Random(32)
     for _ in range(25):
         p = random_free_jet(rng)
-        assert euler_operator(p.total_derivative("x")).is_zero()
-        assert euler_operator(p.total_derivative("y")).is_zero()
+        assert not euler_operator(p.total_derivative("x"))
+        assert not euler_operator(p.total_derivative("y"))
 
 
 def test_euler_operator_nonzero_example():
@@ -113,7 +113,7 @@ def test_euler_operator_nonzero_example():
 def test_reduce_examples():
     assert reduce(uf(1, 1)) == u(0)
     assert reduce(uf(2, 1)) == u(1)
-    assert reduce(uf(1, 1) - uf(0, 0)).is_zero()
+    assert not reduce(uf(1, 1) - uf(0, 0))
 
 
 def test_reduce_is_differential_morphism():
@@ -190,7 +190,7 @@ _NOT_INT = "'{}' object cannot be interpreted as an integer"
      "unknown jet field 'g'"),
     (lambda: ReducedJetPoly.var("v", 0), ValueError, "unknown jet field 'v'"),
     (lambda: u(0).partial("g", 0), ValueError, "unknown jet field 'g'"),
-    (lambda: u(0).coefficient([("u", Fraction(0))]), TypeError,
+    (lambda: ReducedJetPoly({(("u", Fraction(0)),): 1}), TypeError,
      _NOT_INT.format("Fraction")),
     (lambda: FreeJetPoly({((-1, 0),): 1}), ValueError,
      "derivative orders must be nonnegative"),
@@ -200,7 +200,7 @@ _NOT_INT = "'{}' object cannot be interpreted as an integer"
      "derivative orders must be nonnegative"),
 ], ids=["reduced_float_index", "reduced_integral_float_index",
         "reduced_int_field", "reduced_unknown_field", "reduced_var_field",
-        "reduced_partial_field", "reduced_coefficient_index",
+        "reduced_partial_field", "reduced_fraction_index",
         "free_negative_order", "free_float_order", "free_partial_order"])
 def test_jet_variables_are_checked(call, error, message):
     # Every jet is checked where it is made, not only through var: 1.5 and
@@ -278,16 +278,12 @@ def test_monomial_product_is_the_sorted_concatenation():
 
 
 def test_order_bookkeeping():
-    assert ReducedJetPoly({(): X}).order() is None
+    assert ReducedJetPoly({(): X}).order() == 0
     assert (u(3) * u(-5)).order() == 5
     rng = random.Random(35)
     for _ in range(40):
         p = random_reduced_jet(rng, max_order=3)
-        if p.order() is None:
-            continue
-        dp = p.total_derivative("x")
-        if dp.order() is not None:
-            assert dp.order() <= p.order() + 1
+        assert p.total_derivative("x").order() <= p.order() + 1
     # equality when the top x-index appears
     assert (u(2) * u(0)).total_derivative("x").order() == 3
 
@@ -459,7 +455,7 @@ def test_squares_match_ring_products():
 @pytest.mark.parametrize("cls", [ReducedJetPoly, FreeJetPoly])
 def test_squares_edge_cases(cls):
     zero = squares([(cls.zero(), 1, 1, -1)])
-    assert type(zero) is cls and zero.is_zero()
+    assert type(zero) is cls and not zero
     p = _mixed_jet(random.Random(42), cls)
     integral = p * common_denominator(p.terms.values())
     parts = [(integral, 2, 0, -1), (integral + cls.one(), 0, 1, 1)]
@@ -469,7 +465,7 @@ def test_squares_edge_cases(cls):
     assert all(type(c) is int for poly in result.terms.values()
                for c in poly.terms.values())
     cancel = squares([(p, 1, 2, 1), (-p, 1, 2, -1)])
-    assert type(cancel) is cls and cancel.is_zero()
+    assert type(cancel) is cls and not cancel
 
 
 @pytest.mark.parametrize("cls", [ReducedJetPoly, FreeJetPoly])

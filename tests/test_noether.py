@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from kgsym import noether
+from kgsym import cli, noether
 from kgsym.arith import XYPoly
 from kgsym.jet import (FreeJetPoly, ReducedJetPoly, apply_operator_free,
                        apply_operator_reduced, euler_operator, reduce,
@@ -83,8 +83,8 @@ def test_reduced_lift_of_cubic_dilation():
     # The re-lift is neither skew-adjoint nor commuting with the equation
     # operator, unlike every basis operator.
     assert lifted.adjoint() != -lifted
-    assert not (kg_operator().compose(lifted)
-                - lifted.compose(kg_operator())).is_zero()
+    assert (kg_operator().compose(lifted)
+            - lifted.compose(kg_operator()))
 
 
 def test_reduced_lift_divergence_witness():
@@ -98,7 +98,7 @@ def test_reduced_lift_divergence_witness():
     divergence = ((F * F * (half3 * X * X * Y)).total_derivative("x")
                   - (F * F * (half3 * X * Y * Y)).total_derivative("y"))
     assert product == divergence
-    assert euler_operator(product).is_zero()
+    assert not euler_operator(product)
 
 
 
@@ -114,14 +114,14 @@ def test_current_C0():
     assert c.t == f(0) * u(-1)
     assert c.x == -f(1) * u(0)
     assert c.order == 1
-    assert onshell_divergence(c.t, c.x).is_zero()
+    assert not onshell_divergence(c.t, c.x)
 
 
 def test_current_C0_barred():
     c = current_C0(barred=True)
     assert c.t == -f(-1) * u(0)
     assert c.x == f(0) * u(1)
-    assert onshell_divergence(c.t, c.x).is_zero()
+    assert not onshell_divergence(c.t, c.x)
 
 
 def test_current_Ctilde_translation():
@@ -135,13 +135,28 @@ def test_current_Ctilde_translation():
 def test_current_Ctilde_dilation_order():
     c = current_Ctilde(TDOperator.j())
     assert c.order == 2
-    assert onshell_divergence(c.t, c.x).is_zero()
+    assert not onshell_divergence(c.t, c.x)
 
 
 def test_current_Ctilde_rejects_self_adjoint():
     with pytest.raises(ValueError) as excinfo:
         current_Ctilde(TDOperator.identity())
     assert "self-adjoint part" in str(excinfo.value)
+
+
+def test_order_zero_current(capsys):
+    # Components with no jet variable have order 0: (y, x) is conserved,
+    # since Dx(y) + Dy(x) = 0, and so is the current of the zero operator.
+    t, x = ReducedJetPoly({(): Y}), ReducedJetPoly({(): X})
+    c = ConservedCurrent("C0", t, x, 0, ReducedJetPoly.zero())
+    assert (c.t, c.x, c.order) == (t, x, 0)
+    with pytest.raises(ValueError) as excinfo:
+        ConservedCurrent("C0", t, x, 1, ReducedJetPoly.zero())
+    assert str(excinfo.value) == ("declared order 1 but components "
+                                  "have order 0")
+    assert current_Ctilde(TDOperator.zero()).order == 0
+    assert cli.main(["current", "Ctilde", "0"]) == 0
+    assert "order: 0\n" in capsys.readouterr().out
 
 
 def test_current_minimal_examples():
@@ -288,8 +303,8 @@ def test_onshell_divergence_of_fields_with_integral_coefficients():
     assert onshell_divergence(f(0) * u(-1) * 3, -f(1) * u(0) * 3) == 0
     div = onshell_divergence(u(0) * X * Y, f(1) * Y * Y)
     assert str(div) == "2*y*f[1] + y^2*f[0] + x*y*u[1] + y*u[0]"
-    assert onshell_divergence(ReducedJetPoly.zero(),
-                              ReducedJetPoly.zero()).is_zero()
+    assert not onshell_divergence(ReducedJetPoly.zero(),
+                                  ReducedJetPoly.zero())
 
 
 def test_not_conserved_rejection_text():
@@ -333,7 +348,7 @@ def test_symmetry_action_reproduces_barred_superposition_current():
 def test_symmetry_action_of_zero():
     generating = current_minimal("C2", 0, 0)
     candidate = symmetry_action_on_current(ReducedJetPoly.zero(), generating)
-    assert candidate.t.is_zero() and candidate.x.is_zero()
+    assert not candidate.t and not candidate.x
     assert candidate.is_conserved
 
 
@@ -431,7 +446,7 @@ def extracted_characteristic(c):
             key = (a - s, b - s)
             cofactors[key] = cofactors.get(key, FreeJetPoly.zero()) + others
         rest = rest + others * FreeJetPoly({((a - m, b - m),): 1})
-    assert rest.is_zero()
+    assert not rest
     total = FreeJetPoly.zero()
     for (p, q), cofactor in cofactors.items():
         for var, times in (("x", p), ("y", q)):

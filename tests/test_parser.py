@@ -40,8 +40,8 @@ def test_jet_grammar_examples():
 
 
 def test_zero_parses():
-    assert parse_operator("0").is_zero()
-    assert parse_jet("0").is_zero()
+    assert not parse_operator("0")
+    assert not parse_jet("0")
 
 
 def test_unary_signs():
@@ -449,7 +449,7 @@ def test_work_bound_counts_monomial_pairs():
     left = " + ".join(f"x^{i}" for i in range(n))
     right = " + ".join(f"x^{j}" for j in range(MAX_WORK // n))
     assert MAX_WORK % n == 0
-    assert parse_jet(f"({left})*({right})").coefficient(()).terms[1, 0] == 2
+    assert parse_jet(f"({left})*({right})").terms[()].terms[1, 0] == 2
     for parse in (parse_operator, parse_jet):
         with pytest.raises(ParseError) as excinfo:
             parse(f"({left})*({right} + y)")
@@ -467,8 +467,8 @@ def test_work_bound_counts_monomial_pairs():
 
 
 def test_work_bound_admits_j_power_40():
-    assert parse_operator("J^40").order() == 40
-    assert parse_operator("J^48").order() == 48     # the largest that parses
+    for n in (40, 48):                          # 48 is the largest that parses
+        assert max(p + q for p, q in parse_operator(f"J^{n}").terms) == n
 
 
 def test_large_coefficients_within_the_work_bound_cancel():

@@ -391,7 +391,7 @@ def _reference_xypoly(rng, max_degree=2, max_terms=3, allow_zero=True):
         j = rng.randint(0, max_degree - i)
         terms[(i, j)] = _reference_rational(rng)
     poly = XYPoly(terms)
-    if not allow_zero and poly.is_zero():
+    if not allow_zero and not poly:
         return XYPoly.one()
     return poly
 
